@@ -24,11 +24,13 @@ from .counts import (
     wsat_grid_closed,
 )
 from .families import (
+    FamilyError,
     assemble_lower_bound,
     rank_certificate_from_json_doc,
     recheck_rank_certificate,
 )
 from .grid import GridError, GridSpec, VertexSet, parse_grid
+from .linalg import LinalgError
 from .saturation import (
     SaturationCertificate,
     build_wsat_grid,
@@ -242,7 +244,7 @@ def cmd_recheck(args) -> tuple[int, dict]:
         raise CliError(f"malformed rank certificate: {exc}", EXIT_PARSE) from exc
     try:
         recheck_rank_certificate(cert)
-    except Exception as exc:  # any failed check is a verification failure
+    except (FamilyError, LinalgError) as exc:  # a false claim, not an internal error
         doc = {"kind": "recheck", "file": args.file, "ok": False, "reason": str(exc)}
         return EXIT_VERIFY, doc
     doc = {

@@ -23,8 +23,20 @@ Families are built by the same recursions as the saturated graphs:
   vertex's label set.
 
 Every derived subspace is re-certified (dimension and support threshold)
-before use, and the finished family is checked against both defining
-properties.
+before use.  The finished family is checked once per defining property, by
+`verify_family`: (a) over a basis of the members supported inside each
+vertex's label set, (b) by one exact elimination.  Checking (a) over that
+basis covers every (r+1)-star because the subspace has codimension r and
+every nonzero member has support >= r+1 (circuit spanning).  Fix r labels
+B inside a label set C.  For each c in C - B the subspace has a member
+x_{B+c} supported exactly on B+c (codimension r leaves one dimension, and
+support >= r+1 forbids a smaller support), and these |C| - r members are
+independent.  A member supported inside C is fixed by its entries on C - B,
+since two that agree there differ by a member supported inside B, which is
+zero.  So the x_{B+c} span every member supported inside C, and checking a
+basis of those members checks them all.  Each star's relation x_T
+(|T| = r+1, T inside C) is such a member, so it vanishes, and its
+coefficients are all nonzero because its support is exactly T.
 """
 
 from __future__ import annotations
@@ -75,6 +87,11 @@ class EdgeVectorFamily:
         if len(self.vectors) != self.spec.num_edges:
             raise FamilyError("need exactly one vector per edge")
 
+    @property
+    def num_labels(self) -> int:
+        """Subspace coordinates: the 2d odd/even labels or the d directions."""
+        return self.spec.d if self.label_mode == "direction" else 2 * self.spec.d
+
     def incident_coords(self, v: int) -> tuple[int, ...]:
         """0-based subspace coordinates whose edge exists at v."""
         if self.label_mode == "direction":
@@ -124,8 +141,41 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def _parse_vector(entries, length: int, parsed: dict[str, Fraction]) -> Vector:
+    """A JSON vector of rational strings; "0" (nearly every entry) maps to
+    the shared F0 and every other entry to exactly Fraction(entry), parsed
+    once per distinct string and remembered in `parsed`."""
+    if not isinstance(entries, list) or len(entries) != length:
+        raise ValueError(f"every vector must be a list of target_dim = {length} entries")
+    return tuple([F0 if s == "0" else _parse_entry(s, parsed) for s in entries])
+
+
+def _parse_entry(s, parsed: dict[str, Fraction]) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"vector entry must be a string, got {type(s).__name__}")
+    x = parsed.get(s)
+    if x is None:
+        try:
+            x = parsed[s] = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"vector entry {s!r} is not a rational number") from None
+    return x
+
+
+def _json_int(value, what: str) -> int:
+    """An integer written as a JSON number or a decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +320,7 @@ def _cube_family(d: int, r: int, space: SupportSubspace, certify: bool) -> list[
                 for j, x in enumerate(fvec):
                     if x:
                         acc[j] += zc * x
-        vectors[spec.edge_index(EdgeId(v, d))] = tuple(-x / zd for x in acc)
+        vectors[spec.edge_index(EdgeId(v, d))] = tuple(-x / zd if x else F0 for x in acc)
 
     for k, _ in enumerate(sub_edges):
         vectors[high_idx[k]] = tuple(f0[k]) + tuple(f1[k])
@@ -377,7 +427,8 @@ def _combine_layer(
             for j, x in enumerate(fvec):
                 if x:
                     acc[j] += zc * x
-        vectors[idx] = tuple(-x / zv[tau0] for x in acc)
+        z_tau = zv[tau0]
+        vectors[idx] = tuple(-x / z_tau if x else F0 for x in acc)
 
     side_edges = side.edges_in_order()
     for k, e in enumerate(side_edges):
@@ -434,15 +485,25 @@ def _unverified_grid_family(dims, r: int, certify: bool) -> EdgeVectorFamily:
 
 
 def verify_family(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
-    """Check the vanishing property at every vertex (over a basis of the
-    admissible members) and that the family spans R^w; return the
-    `family_rank` profile (rank, pivot_edges).
+    """Check both defining properties once and return the `family_rank`
+    profile (rank, pivot_edges).
 
-    This is the one place the span claim (rank = w) is checked.  A single
-    exact elimination of the transposed w x ne family settles it, since a
-    matrix and its transpose have the same rank, and the same elimination
-    yields the pivot edges, so callers that need them reuse this result
-    instead of ranking the family again.
+    Relations: at every vertex v, each member of a basis of the subspace
+    members supported inside v's label set C must kill the edge vectors.
+    This is the only relation pass.  When the subspace has codimension r
+    and every nonzero member has support >= r+1 (the caller's claim: true
+    by construction when building, checked explicitly by
+    `recheck_rank_certificate`), it is exactly as strong as checking every
+    (r+1)-star: the members supported inside C are spanned by the
+    fundamental circuits x_{B+c} (B a fixed r-subset of C, c in C - B), each
+    supported on exactly r+1 labels, and every star relation x_T with T
+    inside C is one of those members, with all |T| coefficients nonzero.
+
+    Span: rank = w is checked here and nowhere else.  A single exact
+    elimination of the transposed w x ne family settles it, since a matrix
+    and its transpose have the same rank, and the same elimination yields
+    the pivot edges, so callers that need them reuse this result instead of
+    ranking the family again.
     """
     w = family.target_dim
     members_cache: dict[tuple[int, ...], list[Vector]] = {}
@@ -491,7 +552,14 @@ def family_rank(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
 def verify_star_relations(family: EdgeVectorFamily) -> int:
     """For every vertex and every (r+1)-subset of its labels, the chosen
     member vanishes against the star's edge vectors with every coefficient
-    nonzero.  Returns the number of star relations checked."""
+    nonzero.  Returns the number of star relations checked.
+
+    Neither `assemble_lower_bound` nor `recheck_rank_certificate` runs this:
+    for a certified subspace of codimension r, the basis pass in
+    `verify_family` implies every star relation (circuit spanning, see
+    there).  It stays as a direct, per-star statement of the claim, and its
+    support solves also fail when the codimension is not r.
+    """
     from itertools import combinations
 
     r = family.r
@@ -523,55 +591,91 @@ def verify_star_relations(family: EdgeVectorFamily) -> int:
 
 
 def assemble_lower_bound(dims, r: int, certify: bool = True) -> RankCertificate:
-    """Build the grid family, verify every star relation, compute the exact
-    rank, and package the certified bounds wsat >= rank, m >= ceil(rank/r).
+    """Build the grid family, verify it, and package the certified bounds
+    wsat >= rank, m >= ceil(rank/r).
 
-    The span claim (rank = w) is checked once, by `verify_family`, whose
-    single exact elimination also gives the pivot edges stored in the
-    certificate; ranking the family a second time would prove nothing new.
+    `verify_family` is the one verification pass: its basis relation pass
+    implies every star relation, because the Vandermonde subspace has
+    codimension r by construction and support >= r+1 (certified unless
+    certify=False, a theorem either way), and its single exact elimination
+    checks rank = w and gives the pivot edges stored in the certificate.
+    Ranking the family again or checking the stars one by one would prove
+    nothing new.
     """
     dims = tuple(int(a) for a in dims)
     if not 1 <= r <= 2 * len(dims):
         raise DomainError(f"need 1 <= r <= 2d, got r={r}")
     family = _unverified_grid_family(dims, r, certify)
     rank, pivots = verify_family(family)
-    verify_star_relations(family)
     m_lower = -(-rank // r)
     return RankCertificate(family, rank, pivots, rank, m_lower)
 
 
 def rank_certificate_from_json_doc(doc: dict) -> RankCertificate:
-    if doc.get("kind") != "rank-certificate":
+    """Load a rank certificate document written by `to_json_doc`.
+
+    Malformed input raises ValueError (FamilyError and GridError included)
+    with a one-line reason: wrong types, a vector entry that is not a
+    rational string, a vector not of length target_dim, a basis row not of
+    length ambient, or r outside 1..label count.  Nothing is verified here.
+    """
+    if not isinstance(doc, dict) or doc.get("kind") != "rank-certificate":
         raise ValueError("not a rank certificate document")
-    spec = parse_grid(doc["spec"])
-    basis = tuple(tuple(int(x) for x in row) for row in doc["subspace_basis"])
-    space = SupportSubspace(int(doc["ambient"]), basis)
-    vectors = tuple(tuple(_parse_frac(x) for x in vec) for vec in doc["vectors"])
-    family = EdgeVectorFamily(
-        spec, int(doc["r"]), doc["label_mode"], int(doc["target_dim"]), vectors, space
+    spec_text = doc["spec"]
+    if not isinstance(spec_text, str):
+        raise ValueError("spec must be a string")
+    spec = parse_grid(spec_text)
+    ambient = _json_int(doc["ambient"], "ambient")
+    basis = []
+    for row in _json_list(doc["subspace_basis"], "subspace_basis"):
+        if not isinstance(row, list) or len(row) != ambient:
+            raise ValueError(f"every basis row must be a list of ambient = {ambient} entries")
+        basis.append(tuple(_json_int(x, "basis entry") for x in row))
+    space = SupportSubspace(ambient, tuple(basis))
+    target_dim = _json_int(doc["target_dim"], "target_dim")
+    parsed: dict[str, Fraction] = {}
+    vectors = tuple(
+        _parse_vector(vec, target_dim, parsed) for vec in _json_list(doc["vectors"], "vectors")
     )
+    family = EdgeVectorFamily(
+        spec, _json_int(doc["r"], "r"), doc["label_mode"], target_dim, vectors, space
+    )
+    if not 1 <= family.r <= family.num_labels:
+        raise ValueError(f"r = {family.r} is outside 1..{family.num_labels}")
     return RankCertificate(
         family,
-        int(doc["rank"]),
-        tuple(int(e) for e in doc["pivot_edges"]),
-        int(doc["wsat_lower"]),
-        int(doc["m_lower"]),
+        _json_int(doc["rank"], "rank"),
+        tuple(_json_int(e, "pivot edge") for e in _json_list(doc["pivot_edges"], "pivot_edges")),
+        _json_int(doc["wsat_lower"], "wsat_lower"),
+        _json_int(doc["m_lower"], "m_lower"),
     )
 
 
 def recheck_rank_certificate(cert: RankCertificate) -> None:
-    """Full independent re-verification of a (possibly reloaded) certificate:
-    support subspace, vanishing relations, star relations, rank, pivots.
+    """Independent re-verification of a (possibly reloaded) certificate;
+    raises FamilyError or a LinalgError on the first false claim.
 
-    The rank and the pivot edges are recomputed once, by the exact
-    elimination inside `verify_family` that also checks the span claim
-    (rank = w); the recomputed pivots are then compared with the stored
-    ones, so a second rank pass would check nothing further.
+    Each claim is checked once:
+    * the subspace has one coordinate per label and codimension r (checked
+      explicitly: the relation pass relies on it, and a wrong codimension
+      can pass certification);
+    * every nonzero member has support >= r+1 (`SupportSubspace.certify`);
+    * the vanishing relations and the span, by `verify_family`, whose basis
+      relation pass implies every (r+1)-star relation once the two claims
+      above hold (circuit spanning, see there) and whose one exact
+      elimination recomputes the rank and the pivot edges;
+    * the stored rank, pivots and bounds equal the recomputed ones.
     """
     fam = cert.family
-    fam.subspace.certify()
+    space = fam.subspace
+    if space.ambient != fam.num_labels:
+        raise FamilyError(
+            f"subspace has {space.ambient} coordinates, expected one per label ({fam.num_labels})"
+        )
+    if space.codim != fam.r:
+        raise FamilyError(f"subspace has codimension {space.codim}, expected r = {fam.r}")
+    space.certify()
     rank, pivots = verify_family(fam)
-    verify_star_relations(fam)
     if rank != cert.rank or pivots != cert.pivot_edges:
         raise FamilyError("rank or pivot set does not match the certificate")
     if cert.wsat_lower != rank:

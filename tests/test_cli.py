@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from percforge.cli import main
 
 
@@ -154,3 +156,57 @@ def test_table_format_is_derived_view(capsys):
     code, out, _ = run_cli(capsys, "wsat", "--grid", "3x3", "--r", "2", "--format", "table")
     assert code == 0
     assert "recurrence" in out and "6" in out
+
+
+def _zero_denominator(doc):
+    doc["vectors"][0][0] = "1/0"
+
+
+def _null_entry(doc):
+    doc["vectors"][0][0] = None
+
+
+def _short_vector(doc):
+    doc["vectors"][0] = doc["vectors"][0][:-1]
+
+
+def _short_basis_row(doc):
+    doc["subspace_basis"][0] = doc["subspace_basis"][0][:-1]
+
+
+def _r_zero(doc):
+    doc["r"] = 0
+
+
+def _r_above_labels(doc):
+    doc["r"] = 7  # Q3 has 6 labels
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_zero_denominator, _null_entry, _short_vector, _short_basis_row, _r_zero, _r_above_labels]
+)
+def test_recheck_rejects_malformed_certificate(tmp_path, capsys, corrupt):
+    out = tmp_path / "rank.json"
+    assert main(["certify", "--grid", "Q3", "--r", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    corrupt(doc)
+    out.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "recheck", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: malformed rank certificate: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_recheck_internal_error_is_not_a_failed_verification(tmp_path, monkeypatch):
+    import percforge.cli as cli
+
+    out = tmp_path / "rank.json"
+    assert main(["certify", "--grid", "Q3", "--r", "2", "--out", str(out)]) == 0
+
+    def broken(cert):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(cli, "recheck_rank_certificate", broken)
+    with pytest.raises(RuntimeError):
+        main(["recheck", str(out)])

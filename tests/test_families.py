@@ -6,6 +6,7 @@ from percforge.counts import w_recurrence, wsat_hypercube
 from percforge.families import (
     EdgeVectorFamily,
     FamilyError,
+    _frac_str,
     assemble_lower_bound,
     build_edge_vectors_grid,
     build_edge_vectors_hypercube,
@@ -16,7 +17,7 @@ from percforge.families import (
     verify_star_relations,
 )
 
-from percforge.linalg import RationalMatrix, support
+from percforge.linalg import RationalMatrix, build_support_subspace, support
 
 
 def test_diagonal_case_is_standard_basis():
@@ -169,3 +170,55 @@ def test_fraction_strings_are_exact():
     for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):
         for s, x in zip(vec, parsed):
             assert Fraction(s) == x
+
+
+def test_one_relation_pass_per_certificate(monkeypatch):
+    import percforge.families as families
+
+    real = families.verify_family
+    calls = []
+
+    def counting(family):
+        calls.append(family.spec.dims)
+        return real(family)
+
+    def forbidden(family):
+        raise AssertionError("verify_star_relations is not on the certify/recheck path")
+
+    monkeypatch.setattr(families, "verify_family", counting)
+    monkeypatch.setattr(families, "verify_star_relations", forbidden)
+    cert = assemble_lower_bound((3, 2), 2)
+    assert calls == [(3, 2)]
+    calls.clear()
+    recheck_rank_certificate(rank_certificate_from_json_doc(cert.to_json_doc()))
+    assert calls == [(3, 2)]
+
+
+def test_recheck_rejects_wrong_codimension():
+    dims, r = (3, 2), 2
+    doc = assemble_lower_bound(dims, r).to_json_doc()
+    wrong = build_support_subspace(2 * len(dims), r + 1)  # certified, codimension r+1
+    doc["subspace_basis"] = [[str(x) for x in row] for row in wrong.basis]
+    with pytest.raises(FamilyError, match="codimension"):
+        recheck_rank_certificate(rank_certificate_from_json_doc(doc))
+
+
+def test_loader_parses_entries_like_fraction():
+    import json
+    import random
+    from pathlib import Path
+
+    doc = json.loads((Path(__file__).parent / "fixtures" / "rank_q3_r2.json").read_text())
+    for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):
+        assert [Fraction(s) for s in vec] == list(parsed)
+    rng = random.Random(5)
+    odd = ["0", "-0", "00", "0/7", "+3", " 4 ", "6/4", "-10/15", "1.5", "12345678901234567890/3"]
+
+    def entry():
+        if rng.random() < 0.3:
+            return rng.choice(odd)
+        return _frac_str(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)))
+
+    doc["vectors"] = [[entry() for _ in vec] for vec in doc["vectors"]]
+    for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):
+        assert [Fraction(s) for s in vec] == list(parsed)
