@@ -8,8 +8,9 @@ when the closure is the whole vertex set.
 
 The round kernel never loops over vertices: the 2d shifted neighbor bitmaps
 are accumulated with a bit-sliced ripple-carry adder that saturates at r,
-then a bit-parallel comparator extracts the vertices with count >= r.  This
-is the hot path for both simulation and exact search.
+then a bit-parallel comparator extracts the vertices with count >= r.  A
+single kernel, ``_bitsliced_round``, serves both Python-int bitsets (for
+simulation) and numpy uint64 arrays of bitsets (for exact search).
 """
 
 from __future__ import annotations
@@ -50,47 +51,42 @@ class InfectionTrace:
         }
 
 
-def _threshold_mask(planes: list[int], sat: int, r: int, full: int) -> int:
-    """Vertices whose accumulated neighbor count is >= r.
+def _bitsliced_round(cur, plan, r, full):
+    """One synchronous round on a bitset: a Python int, or a numpy uint64
+    array with one bitset per entry (only <<, >>, &, | and ^ touch it).
 
-    `planes` holds the exact count bit-sliced (LSB first) for vertices that
-    never overflowed; `sat` marks vertices whose count exceeded the plane
-    capacity and is therefore certainly >= r.
+    Neighbor bits are summed into count planes (LSB first); a carry out of
+    the top plane marks a count certainly >= r.  The comparator then walks
+    the bits of r from the top.  The accumulators start as the int 0 and
+    `full`, so the first operation on each name builds a fresh array and
+    `cur` is never written.
     """
+    if r <= 0:
+        return cur | full
+    planes = [0] * r.bit_length()
+    sat = 0
+    for shift, recv in plan:
+        carry = (cur << shift if shift >= 0 else cur >> -shift) & recv
+        for b in range(len(planes)):
+            t = planes[b] & carry
+            planes[b] ^= carry
+            carry = t
+        sat |= carry
     gt = 0
     eq = full
-    for b in range(len(planes) - 1, -1, -1):
+    for b in reversed(range(len(planes))):
         p = planes[b]
         if (r >> b) & 1:
             eq &= p
         else:
             gt |= eq & p
             eq &= full ^ p
-    return sat | gt | eq
+    return cur | sat | gt | eq
 
 
 def infect_step_mask(spec: GridSpec, infected: int, r: int) -> int:
     """One synchronous round on a raw bitset; returns the new bitset."""
-    if r <= 0:
-        return spec.full_vertex_mask
-    full = spec.full_vertex_mask
-    nbits = max(r.bit_length(), 1)
-    planes = [0] * nbits
-    sat = 0
-    for shift, recv in spec.shift_plan:
-        if shift >= 0:
-            carry = (infected << shift) & recv
-        else:
-            carry = (infected >> -shift) & recv
-        for b in range(nbits):
-            if not carry:
-                break
-            t = planes[b] & carry
-            planes[b] ^= carry
-            carry = t
-        else:
-            sat |= carry
-    return infected | _threshold_mask(planes, sat, r, full)
+    return _bitsliced_round(infected, spec.shift_plan, r, spec.full_vertex_mask)
 
 
 def step(state: InfectionState, r: int) -> InfectionState:

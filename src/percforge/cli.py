@@ -324,6 +324,8 @@ def cmd_search(args) -> tuple[int, dict]:
 
 def cmd_simulate(args) -> tuple[int, dict]:
     spec = _grid(args.grid)
+    if args.r < 1:
+        raise CliError("simulate requires threshold r >= 1", EXIT_PARSE)
     try:
         indices = [int(x) for x in args.a0.split(",") if x.strip() != ""]
         a0 = VertexSet.from_indices(spec, indices)

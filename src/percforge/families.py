@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
-from .grid import EdgeId, GridSpec, parse_grid
+from .grid import EdgeId, GridSpec, _json_int, _json_list, parse_grid
 from .linalg import (
     F0,
     F1,
@@ -160,22 +160,6 @@ def _parse_entry(s, parsed: dict[str, Fraction]) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"vector entry {s!r} is not a rational number") from None
     return x
-
-
-def _json_int(value, what: str) -> int:
-    """An integer written as a JSON number or a decimal string."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{what} must be an integer")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +605,7 @@ def rank_certificate_from_json_doc(doc: dict) -> RankCertificate:
     """
     if not isinstance(doc, dict) or doc.get("kind") != "rank-certificate":
         raise ValueError("not a rank certificate document")
-    spec_text = doc["spec"]
-    if not isinstance(spec_text, str):
-        raise ValueError("spec must be a string")
-    spec = parse_grid(spec_text)
+    spec = parse_grid(doc["spec"])
     ambient = _json_int(doc["ambient"], "ambient")
     basis = []
     for row in _json_list(doc["subspace_basis"], "subspace_basis"):

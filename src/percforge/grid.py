@@ -151,9 +151,6 @@ class GridSpec:
                 out.append(v + s)
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.incident_labels(v))
-
     def incident_labels(self, v: int) -> tuple[int, ...]:
         """The label set I_v: all j in [2d] for which e(v, j) is an edge."""
         self.check_vertex(v)
@@ -320,12 +317,11 @@ class GridSpec:
     def __str__(self) -> str:
         return "x".join(str(a) for a in self.dims)
 
-    def spec_string(self) -> str:
-        return str(self)
-
 
 def parse_grid(text: str) -> GridSpec:
     """Parse "a1xa2x...xad" or the "Qd" hypercube shorthand."""
+    if not isinstance(text, str):
+        raise GridError("grid specification must be a string")
     text = text.strip()
     if not text:
         raise GridError("empty grid specification")
@@ -345,6 +341,24 @@ def parse_grid(text: str) -> GridSpec:
     if not dims:
         raise GridError("empty grid specification")
     return GridSpec(dims)
+
+
+def _json_int(value, what: str) -> int:
+    """An integer written as a JSON number or a decimal string."""
+    if type(value) is int:  # not bool
+        return value
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
 
 
 @dataclass(frozen=True)
@@ -385,11 +399,13 @@ class VertexSet:
         return bool((self.mask >> v) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        # one pass over the binary digits, reversed so position v is bit v;
+        # clearing bits of the int instead would copy it once per member
+        bits = bin(self.mask)[:1:-1]
+        v = bits.find("1")
+        while v >= 0:
+            yield v
+            v = bits.find("1", v + 1)
 
     def indices(self) -> list[int]:
         return list(self)

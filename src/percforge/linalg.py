@@ -150,48 +150,6 @@ def nullspace_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list
     return basis
 
 
-def _to_fraction_vector(row: Sequence[Fraction | int]) -> Vector:
-    return tuple(Fraction(x) for x in row)
-
-
-class RationalMatrix:
-    """Dense exact matrix; rows of Fractions, never floats."""
-
-    def __init__(self, rows: Iterable[Sequence[Fraction | int]], ncols: int | None = None):
-        self.rows: list[Vector] = [_to_fraction_vector(r) for r in rows]
-        if self.rows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise LinalgError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise LinalgError("ncols mismatch")
-        else:
-            if ncols is None:
-                raise LinalgError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[F1 if i == j else F0 for j in range(n)] for i in range(n)], ncols=n)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def rank(self) -> int:
-        return rank_profile_of_rows(self.rows, self.ncols)[0]
-
-    def rank_profile(self) -> tuple[int, tuple[int, ...]]:
-        return rank_profile_of_rows(self.rows, self.ncols)
-
-
 # ---------------------------------------------------------------------------
 # support subspaces
 
@@ -255,7 +213,7 @@ class SupportSubspace:
         allowed = set(allowed)
         outside = [c for c in range(self.ambient) if c not in allowed]
         if not outside:
-            return [_to_fraction_vector(r) for r in self.basis]
+            return [tuple(Fraction(x) for x in r) for r in self.basis]
         # coefficient vectors c with (c . basis) vanishing on `outside`
         constraint = [[row[c] for row in self.basis] for c in outside]
         coeffs = nullspace_rows(constraint, self.dim)

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
-from .grid import EdgeId, GridError, GridSpec, VertexSet, parse_grid
+from .grid import EdgeId, GridError, GridSpec, VertexSet, _json_int, _json_list, parse_grid
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,21 @@ class SaturationCertificate:
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "SaturationCertificate":
-        if doc.get("kind") != "saturation-certificate":
+        """Load a document written by `to_json_doc`; wrong types raise
+        ValueError with a one-line reason.  Nothing is verified here."""
+        if not isinstance(doc, dict) or doc.get("kind") != "saturation-certificate":
             raise ValueError("not a saturation certificate document")
         spec = parse_grid(doc["spec"])
-        additions = tuple(
-            StarWitness(int(a["edge"]), int(a["center"]), tuple(int(x) for x in a["labels"]))
-            for a in doc["additions"]
-        )
-        return cls(spec, int(doc["star_size"]), tuple(int(e) for e in doc["base_edges"]), additions)
+        additions = []
+        for a in _json_list(doc["additions"], "additions"):
+            if not isinstance(a, dict):
+                raise ValueError("every addition must be an object")
+            labels = tuple(_json_int(x, "label") for x in _json_list(a["labels"], "labels"))
+            additions.append(
+                StarWitness(_json_int(a["edge"], "edge"), _json_int(a["center"], "center"), labels)
+            )
+        base = tuple(_json_int(e, "base edge") for e in _json_list(doc["base_edges"], "base_edges"))
+        return cls(spec, _json_int(doc["star_size"], "star_size"), base, tuple(additions))
 
 
 @dataclass(frozen=True)
@@ -139,17 +146,17 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
     s = cert.star_size
     if s < 1:
         return CertCheck(False, None, "star size must be >= 1")
-    present = 0
+    present = bytearray(ne)
     for e in cert.base_edges:
         if not 0 <= e < ne:
             return CertCheck(False, None, f"base edge {e} out of range")
-        if (present >> e) & 1:
+        if present[e]:
             return CertCheck(False, None, f"duplicate base edge {e}")
-        present |= 1 << e
+        present[e] = 1
     for i, add in enumerate(cert.additions):
         if not 0 <= add.edge < ne:
             return CertCheck(False, i, f"edge {add.edge} out of range")
-        if (present >> add.edge) & 1:
+        if present[add.edge]:
             return CertCheck(False, i, f"edge {add.edge} already present")
         eid = spec.edge_from_index(add.edge)
         u, v = spec.endpoints(eid)
@@ -163,10 +170,10 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
             other = spec.label_to_edge_index(add.center, j)
             if other < 0:
                 return CertCheck(False, i, f"label {j} does not exist at {add.center}")
-            if not (present >> other) & 1:
+            if not present[other]:
                 return CertCheck(False, i, f"witness edge with label {j} not yet present")
-        present |= 1 << add.edge
-    if present != (1 << ne) - 1:
+        present[add.edge] = 1
+    if present.count(1) != ne:
         return CertCheck(False, None, "base plus additions do not cover the edge set")
     return CertCheck(True)
 

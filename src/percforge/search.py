@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .bootstrap import closure_mask
+from .bootstrap import _bitsliced_round, closure_mask
 from .counts import DomainError, m_lower_grid
 from .grid import GridSpec, VertexSet
 from .witnesses import PercolatingWitness
@@ -168,38 +168,14 @@ class _MaskKernel:
             raise DomainError(
                 f"bulk search kernel supports up to {_EXACT_VERTEX_LIMIT} vertices"
             )
-        self.spec = spec
         self.r = r
         self.full = np.uint64(spec.full_vertex_mask)
-        self.plan = [
-            (np.uint64(abs(s)), np.uint64(mask), s >= 0) for s, mask in spec.shift_plan
-        ]
-        self.nbits = max(r.bit_length(), 1)
+        self.plan = [(s, np.uint64(mask)) for s, mask in spec.shift_plan]
 
     def closure(self, masks: np.ndarray) -> np.ndarray:
-        if self.r <= 0:
-            return np.full_like(masks, self.full)
-        cur = masks.copy()
+        cur = masks
         while True:
-            planes = [np.zeros_like(cur) for _ in range(self.nbits)]
-            sat = np.zeros_like(cur)
-            for shift, recv, left in self.plan:
-                carry = ((cur << shift) if left else (cur >> shift)) & recv
-                for b in range(self.nbits):
-                    t = planes[b] & carry
-                    planes[b] ^= carry
-                    carry = t
-                sat |= carry
-            gt = np.zeros_like(cur)
-            eq = np.full_like(cur, self.full)
-            for b in range(self.nbits - 1, -1, -1):
-                p = planes[b]
-                if (self.r >> b) & 1:
-                    eq = eq & p
-                else:
-                    gt = gt | (eq & p)
-                    eq = eq & (self.full ^ p)
-            new = cur | sat | gt | eq
+            new = _bitsliced_round(cur, self.plan, self.r, self.full)
             if np.array_equal(new, cur):
                 return new
             cur = new

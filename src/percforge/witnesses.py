@@ -20,7 +20,7 @@ from math import comb
 
 from .bootstrap import percolates
 from .counts import DomainError
-from .grid import GridSpec, VertexSet, parse_grid
+from .grid import GridSpec, VertexSet, _json_int, parse_grid
 
 
 class PercolationConstructionError(RuntimeError):
@@ -50,12 +50,15 @@ class PercolatingWitness:
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "PercolatingWitness":
-        if doc.get("kind") != "percolating-witness":
+        if not isinstance(doc, dict) or doc.get("kind") != "percolating-witness":
             raise ValueError("not a percolating witness document")
         spec = parse_grid(doc["spec"])
+        r = _json_int(doc["r"], "r")
+        if r < 1:
+            raise ValueError(f"threshold r must be >= 1, got {r}")
         return cls(
             spec,
-            int(doc["r"]),
+            r,
             VertexSet.from_indices(spec, (int(v) for v in doc["vertices"])),
             str(doc["provenance"]),
         )

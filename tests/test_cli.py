@@ -86,6 +86,66 @@ def test_wsat_verify_rejects_corrupted_fixture(tmp_path, capsys):
     assert verdict["ok"] is False and verdict["reason"]
 
 
+def _labels_not_a_list(doc):
+    doc["additions"][0]["labels"] = 5
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+def _base_edges_not_a_list(doc):
+    doc["base_edges"] = {"0": 1}
+
+
+def _additions_not_a_list(doc):
+    doc["additions"] = "0"
+
+
+def _addition_not_an_object(doc):
+    doc["additions"][0] = [1, 2, 3]
+
+
+def _edge_not_an_integer(doc):
+    doc["additions"][0]["edge"] = 1.5
+
+
+def _star_size_null(doc):
+    doc["star_size"] = None
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_labels_not_a_list, _top_level_list, _base_edges_not_a_list, _additions_not_a_list,
+     _addition_not_an_object, _edge_not_an_integer, _star_size_null],
+)
+def test_wsat_verify_rejects_malformed_certificate(tmp_path, capsys, corrupt):
+    out = tmp_path / "cert.json"
+    assert main(["wsat-build", "--grid", "Q3", "--r", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    doc = corrupt(doc) or doc
+    out.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "wsat-verify", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_threshold_below_one_is_a_domain_error(tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "simulate", "--grid", "Q3", "--r", "-1", "--a0", "1")
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, "simulate", "--grid", "Q3", "--r", "0", "--a0", "1")
+    assert code == 2
+    out = tmp_path / "witness.json"
+    doc = {"kind": "percolating-witness", "spec": "Q3", "r": 0, "size": 0,
+           "vertices": [], "provenance": "hand"}
+    out.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "check", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: malformed witness: ") and err.count("\n") == 1
+
+
 def test_certify_recheck_roundtrip(tmp_path, capsys):
     out = tmp_path / "rank.json"
     code, doc, _ = run_json(capsys, "certify", "--grid", "Q4", "--r", "3", "--out", str(out))

@@ -192,6 +192,20 @@ def test_vertex_set_basics():
         s | VertexSet.empty(GridSpec((2, 2)))
 
 
+def test_vertex_set_indices_match_bit_scan():
+    rng = random.Random(5)
+    for dims in [(3, 3), (5, 7), (2,) * 8]:
+        spec = GridSpec(dims)
+        n = spec.num_vertices
+        masks = [0, spec.full_vertex_mask, 1 << (n - 1), 1]
+        masks += [rng.getrandbits(n) for _ in range(20)]
+        masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(20)]
+        for mask in masks:
+            expect = [v for v in range(n) if mask >> v & 1]
+            assert VertexSet(spec, mask).indices() == expect
+            assert list(VertexSet(spec, mask)) == expect
+
+
 def test_coord_masks_match_per_vertex_scan():
     rng = random.Random(7)
     for dims in SMALL_GRIDS:

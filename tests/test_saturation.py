@@ -6,6 +6,7 @@ from percforge.bootstrap import percolates
 from percforge.counts import w_recurrence, wsat_hypercube
 from percforge.grid import GridSpec
 from percforge.saturation import (
+    CertCheck,
     ExplicitGraph,
     SaturationCertificate,
     SaturationFailure,
@@ -124,6 +125,74 @@ def test_verify_rejects_tampering():
         (StarWitness(first.edge, first.center, first.labels[:-1] + (99,)),) + c.additions[1:],
     )
     assert not verify_certificate(bad).ok
+
+
+def _replace_first(c, **changes):
+    first = c.additions[0]
+    fields = {"edge": first.edge, "center": first.center, "labels": first.labels}
+    fields.update(changes)
+    return SaturationCertificate(
+        c.spec, c.star_size, c.base_edges, (StarWitness(**fields),) + c.additions[1:]
+    )
+
+
+def _off_edge_center(c):
+    u, v = c.spec.endpoints(c.spec.edge_from_index(c.additions[0].edge))
+    return min(w for w in c.spec.vertices() if w not in (u, v))
+
+
+def _own_label(c):
+    first = c.additions[0]
+    return c.spec.edge_label(c.spec.edge_from_index(first.edge), first.center).label
+
+
+_REPLAY_REJECTIONS = {
+    "base edge out of range": lambda c: (
+        SaturationCertificate(c.spec, c.star_size, c.base_edges + (12,), c.additions),
+        None, "base edge 12 out of range",
+    ),
+    "duplicate base edge": lambda c: (
+        SaturationCertificate(c.spec, c.star_size, c.base_edges + c.base_edges[:1], c.additions),
+        None, f"duplicate base edge {c.base_edges[0]}",
+    ),
+    "addition out of range": lambda c: (
+        _replace_first(c, edge=-1), 0, "edge -1 out of range",
+    ),
+    "already present": lambda c: (
+        _replace_first(c, edge=c.base_edges[0]), 0, f"edge {c.base_edges[0]} already present",
+    ),
+    "center not on edge": lambda c: (
+        _replace_first(c, center=_off_edge_center(c)), 0,
+        f"center {_off_edge_center(c)} not on edge {c.additions[0].edge}",
+    ),
+    "wrong label count": lambda c: (
+        _replace_first(c, labels=c.additions[0].labels[:1]), 0, "witness needs 2 distinct labels",
+    ),
+    "label out of range": lambda c: (
+        _replace_first(c, labels=(7,) + c.additions[0].labels[1:]), 0, "label 7 out of range",
+    ),
+    "label absent at center": lambda c: (
+        _replace_first(c, labels=(2,) + c.additions[0].labels[1:]), 0,
+        f"label 2 does not exist at {c.additions[0].center}",
+    ),
+    "witness edge not yet present": lambda c: (
+        _replace_first(c, labels=(_own_label(c),) + c.additions[0].labels[1:]), 0,
+        f"witness edge with label {_own_label(c)} not yet present",
+    ),
+    "coverage": lambda c: (
+        SaturationCertificate(c.spec, c.star_size, c.base_edges, c.additions[:-1]),
+        None, "base plus additions do not cover the edge set",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPLAY_REJECTIONS))
+def test_verify_reports_each_rejection(case):
+    # Q3 with r = 2: 12 edges, witnesses name 2 of the odd labels 1, 3, 5
+    c = build_wsat_hypercube(3, 2)
+    assert c.spec.num_edges == 12 and c.star_size == 3
+    bad, index, reason = _REPLAY_REJECTIONS[case](c)
+    assert verify_certificate(bad) == CertCheck(False, index, reason)
 
 
 def test_greedy_full_base_is_trivial():

@@ -82,17 +82,21 @@ def test_tables_agree_with_reference_canonicalization():
 
 
 def test_mask_kernel_matches_int_kernel():
-    from percforge.bootstrap import closure_mask
+    from percforge.bootstrap import _bitsliced_round, closure_mask, infect_step_mask
 
     rng = random.Random(12)
     for dims in [(2, 2, 2), (3, 3), (2, 2, 2, 2), (3, 2, 2)]:
         spec = GridSpec(dims)
-        for r in range(1, 5):
+        for r in range(0, 2 * spec.d + 2):
             kernel = _MaskKernel(spec, r)
             masks = [rng.getrandbits(spec.num_vertices) for _ in range(64)]
-            out = kernel.closure(np.array(masks, dtype=np.uint64))
-            for m, o in zip(masks, out.tolist()):
-                assert closure_mask(spec, m, r) == int(o)
+            arr = np.array(masks, dtype=np.uint64)
+            one_round = _bitsliced_round(arr, kernel.plan, r, kernel.full)
+            out = kernel.closure(arr)
+            assert arr.tolist() == masks
+            for m, s, o in zip(masks, one_round.tolist(), out.tolist()):
+                assert infect_step_mask(spec, m, r) == s
+                assert closure_mask(spec, m, r) == o
 
 
 def test_canonicalization_preserves_percolation():
