@@ -29,7 +29,7 @@ from .families import (
     rank_certificate_from_json_doc,
     recheck_rank_certificate,
 )
-from .grid import GridError, GridSpec, VertexSet, parse_grid
+from .grid import GridError, GridSpec, VertexSet, _json_int, parse_grid
 from .linalg import LinalgError
 from .saturation import (
     SaturationCertificate,
@@ -202,7 +202,7 @@ def cmd_wsat_verify(args) -> tuple[int, dict]:
     raw = _load_json(args.file)
     try:
         cert = SaturationCertificate.from_json_doc(raw)
-    except (ValueError, KeyError, GridError) as exc:
+    except ValueError as exc:  # GridError included
         raise CliError(f"malformed certificate: {exc}", EXIT_PARSE) from exc
     check = verify_certificate(cert)
     doc = {
@@ -240,7 +240,7 @@ def cmd_recheck(args) -> tuple[int, dict]:
     raw = _load_json(args.file)
     try:
         cert = rank_certificate_from_json_doc(raw)
-    except (ValueError, KeyError, GridError) as exc:
+    except ValueError as exc:  # GridError and FamilyError included
         raise CliError(f"malformed rank certificate: {exc}", EXIT_PARSE) from exc
     try:
         recheck_rank_certificate(cert)
@@ -290,10 +290,11 @@ def cmd_check(args) -> tuple[int, dict]:
     raw = _load_json(args.file)
     try:
         witness = PercolatingWitness.from_json_doc(raw)
-    except (ValueError, KeyError, GridError) as exc:
+        claimed = _json_int(raw.get("size", witness.size), "size")
+    except ValueError as exc:  # GridError included
         raise CliError(f"malformed witness: {exc}", EXIT_PARSE) from exc
     ok = percolates(witness.spec, witness.vertices, witness.r)
-    size_ok = witness.size == int(raw.get("size", witness.size))
+    size_ok = witness.size == claimed
     doc = {
         "kind": "check",
         "file": args.file,

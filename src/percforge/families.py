@@ -41,11 +41,12 @@ coefficients are all nonzero because its support is exactly T.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
-from .grid import EdgeId, GridSpec, _json_int, _json_list, parse_grid
+from .grid import EdgeId, GridSpec, _json_field, _json_int, _json_list, parse_grid
 from .linalg import (
     F0,
     F1,
@@ -150,15 +151,22 @@ def _parse_vector(entries, length: int, parsed: dict[str, Fraction]) -> Vector:
     return tuple([F0 if s == "0" else _parse_entry(s, parsed) for s in entries])
 
 
+# exactly what str(Fraction) writes; Fraction() would also read exponents,
+# so a 10-byte entry like "1e10000000" could expand into a huge integer
+_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_entry(s, parsed: dict[str, Fraction]) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"vector entry must be a string, got {type(s).__name__}")
     x = parsed.get(s)
     if x is None:
+        if _ENTRY.fullmatch(s) is None:
+            raise ValueError(f"vector entry {s[:40]!r} is not an integer or p/q fraction")
         try:
             x = parsed[s] = Fraction(s)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"vector entry {s!r} is not a rational number") from None
+            raise ValueError(f"vector entry {s[:40]!r} is not a rational number") from None
     return x
 
 
@@ -599,36 +607,38 @@ def rank_certificate_from_json_doc(doc: dict) -> RankCertificate:
     """Load a rank certificate document written by `to_json_doc`.
 
     Malformed input raises ValueError (FamilyError and GridError included)
-    with a one-line reason: wrong types, a vector entry that is not a
-    rational string, a vector not of length target_dim, a basis row not of
-    length ambient, or r outside 1..label count.  Nothing is verified here.
+    with a one-line reason: a missing field, wrong types, a vector entry
+    not written as an integer or p/q, a vector not of length target_dim, a
+    basis row not of length ambient, or r outside 1..label count.  Nothing
+    is verified here.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "rank-certificate":
         raise ValueError("not a rank certificate document")
-    spec = parse_grid(doc["spec"])
-    ambient = _json_int(doc["ambient"], "ambient")
+    spec = parse_grid(_json_field(doc, "spec"))
+    ambient = _json_int(_json_field(doc, "ambient"), "ambient")
     basis = []
-    for row in _json_list(doc["subspace_basis"], "subspace_basis"):
+    for row in _json_list(_json_field(doc, "subspace_basis"), "subspace_basis"):
         if not isinstance(row, list) or len(row) != ambient:
             raise ValueError(f"every basis row must be a list of ambient = {ambient} entries")
         basis.append(tuple(_json_int(x, "basis entry") for x in row))
     space = SupportSubspace(ambient, tuple(basis))
-    target_dim = _json_int(doc["target_dim"], "target_dim")
+    target_dim = _json_int(_json_field(doc, "target_dim"), "target_dim")
     parsed: dict[str, Fraction] = {}
     vectors = tuple(
-        _parse_vector(vec, target_dim, parsed) for vec in _json_list(doc["vectors"], "vectors")
+        _parse_vector(vec, target_dim, parsed)
+        for vec in _json_list(_json_field(doc, "vectors"), "vectors")
     )
-    family = EdgeVectorFamily(
-        spec, _json_int(doc["r"], "r"), doc["label_mode"], target_dim, vectors, space
-    )
+    r = _json_int(_json_field(doc, "r"), "r")
+    family = EdgeVectorFamily(spec, r, _json_field(doc, "label_mode"), target_dim, vectors, space)
     if not 1 <= family.r <= family.num_labels:
         raise ValueError(f"r = {family.r} is outside 1..{family.num_labels}")
+    pivots = _json_list(_json_field(doc, "pivot_edges"), "pivot_edges")
     return RankCertificate(
         family,
-        _json_int(doc["rank"], "rank"),
-        tuple(_json_int(e, "pivot edge") for e in _json_list(doc["pivot_edges"], "pivot_edges")),
-        _json_int(doc["wsat_lower"], "wsat_lower"),
-        _json_int(doc["m_lower"], "m_lower"),
+        _json_int(_json_field(doc, "rank"), "rank"),
+        tuple(_json_int(e, "pivot edge") for e in pivots),
+        _json_int(_json_field(doc, "wsat_lower"), "wsat_lower"),
+        _json_int(_json_field(doc, "m_lower"), "m_lower"),
     )
 
 

@@ -343,6 +343,14 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(dims)
 
 
+def _json_field(doc: dict, key: str):
+    """doc[key], or a ValueError naming the missing field."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+
+
 def _json_int(value, what: str) -> int:
     """An integer written as a JSON number or a decimal string."""
     if type(value) is int:  # not bool

@@ -25,7 +25,16 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
-from .grid import EdgeId, GridError, GridSpec, VertexSet, _json_int, _json_list, parse_grid
+from .grid import (
+    EdgeId,
+    GridError,
+    GridSpec,
+    VertexSet,
+    _json_field,
+    _json_int,
+    _json_list,
+    parse_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -66,17 +75,23 @@ class SaturationCertificate:
         ValueError with a one-line reason.  Nothing is verified here."""
         if not isinstance(doc, dict) or doc.get("kind") != "saturation-certificate":
             raise ValueError("not a saturation certificate document")
-        spec = parse_grid(doc["spec"])
+        spec = parse_grid(_json_field(doc, "spec"))
         additions = []
-        for a in _json_list(doc["additions"], "additions"):
+        for a in _json_list(_json_field(doc, "additions"), "additions"):
             if not isinstance(a, dict):
                 raise ValueError("every addition must be an object")
-            labels = tuple(_json_int(x, "label") for x in _json_list(a["labels"], "labels"))
+            try:  # plain lookups: the per-addition loop is most of the loading time
+                edge, center, labels = a["edge"], a["center"], a["labels"]
+            except KeyError as exc:
+                raise ValueError(f"missing field {exc.args[0]!r}") from None
+            labels = tuple(_json_int(x, "label") for x in _json_list(labels, "labels"))
             additions.append(
-                StarWitness(_json_int(a["edge"], "edge"), _json_int(a["center"], "center"), labels)
+                StarWitness(_json_int(edge, "edge"), _json_int(center, "center"), labels)
             )
-        base = tuple(_json_int(e, "base edge") for e in _json_list(doc["base_edges"], "base_edges"))
-        return cls(spec, _json_int(doc["star_size"], "star_size"), base, tuple(additions))
+        base_edges = _json_list(_json_field(doc, "base_edges"), "base_edges")
+        base = tuple(_json_int(e, "base edge") for e in base_edges)
+        star_size = _json_int(_json_field(doc, "star_size"), "star_size")
+        return cls(spec, star_size, base, tuple(additions))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,38 @@ reversals; percolation is invariant under all of them), so exhausting a
 layer yields an auditable optimality certificate: group order plus the
 number of canonical k-sets visited, none of which percolate.
 
-Representatives are grown breadth-first: canonical (k-1)-sets are extended
-by every vertex outside their closure (a vertex inside the closure of the
-rest can be dropped for free, which would contradict the already-proven
-bound m > k-1), the extensions are deduplicated, tested in bulk, and
-canonicalized.  Every percolating k-set has an ordering whose prefixes all
-pass the closure filter, so coverage is complete.  All bulk work runs on
-numpy uint64 bitmask arrays; canonical forms are computed with per-group
-byte-gather tables, which keeps the whole layer loop vectorized.
+A set is canonical when its sorted index tuple is lexicographically least
+in its orbit.  Representatives are grown by orderly generation (Read,
+"Every one a winner", 1978; McKay's canonical augmentation, 1998, is the
+general form): a canonical (k-1)-set P gets the children P + v for every
+vertex v above max P, and a child is kept exactly when it is its own
+canonical form.  This visits every canonical k-set exactly once:
+
+* Every canonical k-set S has a canonical prefix T = S - max S.  Suppose
+  some g made g(T) < T, first differing at position i.  g(S) is g(T) plus
+  one element, so for j < k its j-th smallest element is at most that of
+  g(T): at most S_j for j < i, and below T_i = S_i at j = i.  Then
+  g(S) < S, against S being canonical.  Hence S is the child of T by
+  max S.
+* A child has one parent, its set minus its maximum, so no child is
+  generated twice and no global deduplication is needed; levels come out
+  sorted by mask.
+
+No closure filter (extend P only by vertices outside its closure) is used.
+It would be sound for the decision, since minimal percolating sets are
+closure-independent and so are all their subsets, but it would drop
+orbits from the sweep.  Without it every orbit of k-subsets is visited,
+so an exhaustion record's canonical count is the Burnside count of
+k-subset orbits and can be checked against it.
+
+All bulk work runs on numpy uint64 bitmask arrays; canonical forms are
+computed with per-group byte-gather tables, which keeps the whole layer
+loop vectorized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -100,12 +119,12 @@ class SearchResult:
 # the automorphism group
 
 
-def grid_automorphisms(spec: GridSpec) -> list[list[int]]:
-    """All vertex permutations generated by reversing axes and permuting
-    axes of equal length, as index arrays."""
-    d = spec.d
-    dims = spec.dims
-    perms_out: list[list[int]] = []
+def _automorphism_array(spec: GridSpec) -> np.ndarray:
+    """The group as a (group order, n) int64 array: row g maps vertex v to
+    g[v].  Rows run over the axis permutations that respect side lengths,
+    in `itertools.permutations` order, and within each over the reversal
+    bitmasks 0..2^d-1 (bit i reverses axis i of the image)."""
+    d, dims = spec.d, spec.dims
     axis_perms = [
         sigma
         for sigma in permutations(range(d))
@@ -116,21 +135,22 @@ def grid_automorphisms(spec: GridSpec) -> list[list[int]]:
         raise DomainError(
             f"automorphism group of {spec} has order {total}, above the supported {_GROUP_LIMIT}"
         )
-    coords_cache = [spec.coords_of(v) for v in spec.vertices()]
+    sides = np.array(dims, dtype=np.int64)
+    strides = np.array(spec.strides, dtype=np.int64)
+    coords = (np.arange(spec.num_vertices, dtype=np.int64)[:, None] // strides) % sides
+    flips = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    out = []
     for sigma in axis_perms:
-        for flips in range(1 << d):
-            table = []
-            for v in spec.vertices():
-                c = coords_cache[v]
-                out = [0] * d
-                for i in range(d):
-                    x = c[sigma[i]]
-                    if (flips >> i) & 1:
-                        x = dims[i] + 1 - x
-                    out[i] = x
-                table.append(spec.index_of(out))
-            perms_out.append(table)
-    return perms_out
+        image = coords[:, list(sigma)]  # (n, d): coordinate i of the image
+        image = np.where(flips[:, None, :], sides - 1 - image, image)
+        out.append(image @ strides)
+    return np.concatenate(out)
+
+
+def grid_automorphisms(spec: GridSpec) -> list[list[int]]:
+    """All vertex permutations generated by reversing axes and permuting
+    axes of equal length, as index arrays."""
+    return _automorphism_array(spec).tolist()
 
 
 def canonical_form(spec: GridSpec, vset: VertexSet) -> VertexSet:
@@ -190,26 +210,26 @@ class _CanonicalTables:
         n = spec.num_vertices
         self.n = n
         self.nbytes = (n + 7) // 8
-        rev = [n - 1 - v for v in range(n)]
-        perms = grid_automorphisms(spec)
+        perms = _automorphism_array(spec)
         self.group_order = len(perms)
-        conj = [[rev[p[rev[pos]]] for pos in range(n)] for p in perms]
-        self.tables = self._build(conj)
-        self.rev_tables = self._build([rev])
+        rev = np.arange(n - 1, -1, -1)
+        self.tables = self._build(rev[perms[:, rev]])  # acting on bit-reversed masks
+        self.rev_tables = self._build(rev[None, :])
 
-    def _build(self, perms: list[list[int]]) -> np.ndarray:
+    def _build(self, perms: np.ndarray) -> np.ndarray:
+        """tables[g, bp, b] = image under perms[g] of byte value b placed at
+        byte position bp, built bit by bit: the entries b in [2^i, 2^(i+1))
+        are the entries b - 2^i with the image of bit i added."""
         g = len(perms)
+        dest = np.zeros((g, self.nbytes * 8), dtype=np.uint64)
+        dest[:, : self.n] = np.uint64(1) << perms.astype(np.uint64)
+        single = dest.reshape(g, self.nbytes, 8)
         tables = np.zeros((g, self.nbytes, 256), dtype=np.uint64)
-        dest = np.array(perms, dtype=np.uint64)
-        one = np.uint64(1)
-        byte_vals = np.arange(256, dtype=np.uint64)
-        for bp in range(self.nbytes):
-            for bit in range(8):
-                v = bp * 8 + bit
-                if v >= self.n:
-                    break
-                with_bit = np.nonzero((byte_vals >> np.uint64(bit)) & one)[0]
-                tables[:, bp, with_bit] |= (one << dest[:, v])[:, None]
+        for bit in range(8):
+            lo = 1 << bit
+            # in place: a temporary would be half the table (16 MB on Q5)
+            out = tables[:, :, lo : 2 * lo]
+            np.bitwise_or(tables[:, :, :lo], single[:, :, bit : bit + 1], out=out)
         return tables
 
     def _apply(self, tables_row: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -235,83 +255,53 @@ class _CanonicalTables:
 # layered canonical search
 
 
-@dataclass
-class _LayerState:
-    levels: dict[int, np.ndarray] = field(default_factory=dict)
-    early_witness: int | None = None  # percolating mask found below the layer
-    early_size: int | None = None
-    nodes: int = 0
-    canonical_counts: dict[int, int] = field(default_factory=dict)
-
-
 class _CanonicalSearch:
+    """Canonical k-sets by orderly generation, one level at a time; only the
+    current level is kept."""
+
     def __init__(self, spec: GridSpec, r: int, node_budget: int | None):
         self.spec = spec
-        self.r = r
         self.kernel = _MaskKernel(spec, r)
         self.tables = _CanonicalTables(spec)
         self.node_budget = node_budget
-        self.state = _LayerState()
-        self.state.levels[0] = np.zeros(1, dtype=np.uint64)
+        self.nodes = 0
+        self.size = 0  # every set in `level` has this many vertices
+        self.level = np.zeros(1, dtype=np.uint64)
+        self.bits = np.uint64(1) << np.arange(spec.num_vertices, dtype=np.uint64)
 
-    def _charge(self, n: int) -> None:
-        self.state.nodes += n
-        if self.node_budget is not None and self.state.nodes > self.node_budget:
-            raise SearchBudgetExceeded(f"node budget exceeded at {self.state.nodes}")
+    def _children(self, parents: np.ndarray) -> np.ndarray:
+        """Each parent extended by every vertex above its maximum; a parent
+        has no vertex at or above v exactly when its mask is below 1 << v."""
+        children = np.concatenate([parents[parents < bit] | bit for bit in self.bits])
+        self.nodes += len(children)
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise SearchBudgetExceeded(f"node budget exceeded at {self.nodes}")
+        return children
 
-    def _extensions(self, parents: np.ndarray) -> np.ndarray:
-        closures = self.kernel.closure(parents)
-        one = np.uint64(1)
-        outs = []
-        for v in range(self.spec.num_vertices):
-            bit = one << np.uint64(v)
-            sel = (closures & bit) == 0
-            if sel.any():
-                outs.append(parents[sel] | bit)
-        if not outs:
-            return np.empty(0, dtype=np.uint64)
-        return np.unique(np.concatenate(outs))
-
-    def _ensure_level(self, k: int) -> None:
-        """Materialize canonical levels up to k, watching for percolating
-        sets below the decision layer (possible only with an unsound seed;
-        handled by short-circuiting)."""
-        for j in range(1, k + 1):
-            if j in self.state.levels or self.state.early_witness is not None:
-                continue
-            raw = self._extensions(self.state.levels[j - 1])
-            self._charge(len(raw))
-            perc = self.kernel.closure(raw) == self.kernel.full
-            if perc.any():
-                self.state.early_witness = int(raw[np.argmax(perc)])
-                self.state.early_size = j
-                return
-            canon = np.unique(self.tables.canonicalize(raw))
-            self.state.levels[j] = canon
-            self.state.canonical_counts[j] = len(canon)
+    def _grow(self) -> int | None:
+        """Advance `level` by one vertex; returns a percolating child instead
+        when there is one (the level is then left as it was)."""
+        children = self._children(self.level)
+        perc = self.kernel.closure(children) == self.kernel.full
+        if perc.any():
+            return int(children[np.argmax(perc)])
+        self.level = children[self.tables.canonicalize(children) == children]
+        self.size += 1
+        return None
 
     def decide_layer(self, k: int) -> tuple[bool, int | None, int | None]:
         """Does any k-subset percolate?  Returns (found, witness mask,
-        canonical count when the layer was exhausted)."""
-        self._ensure_level(k - 1)
-        st = self.state
-        if st.early_witness is not None:
-            pad = st.early_witness
-            free = [v for v in self.spec.vertices() if not (pad >> v) & 1]
-            for v in free[: k - st.early_size]:
-                pad |= 1 << v
-            return True, pad, None
-        raw = self._extensions(st.levels[k - 1])
-        self._charge(len(raw))
-        if len(raw) == 0:
-            return False, None, 0
-        perc = self.kernel.closure(raw) == self.kernel.full
-        if perc.any():
-            return True, int(raw[np.argmax(perc)]), None
-        canon = np.unique(self.tables.canonicalize(raw))
-        st.levels[k] = canon
-        st.canonical_counts[k] = len(canon)
-        return False, None, len(canon)
+        canonical count when the layer was exhausted).  Layers are decided
+        in increasing order; a percolating set found below k (possible only
+        with an unsound seed) is padded up to k vertices."""
+        while self.size < k:
+            mask = self._grow()
+            if mask is not None:
+                free = [v for v in self.spec.vertices() if not (mask >> v) & 1]
+                for v in free[: k - self.size - 1]:
+                    mask |= 1 << v
+                return True, mask, None
+        return False, None, len(self.level)
 
 
 def _naive_layer(spec: GridSpec, r: int, k: int) -> tuple[bool, int | None, int]:
@@ -399,15 +389,15 @@ def exact_min(config: SearchConfig) -> SearchResult:
                 if closure_mask(spec, int(mask), r) != spec.full_vertex_mask:
                     raise AssertionError("search produced a non-percolating witness")
                 return SearchResult(
-                    spec, r, k, "exact", witness, search.state.nodes,
+                    spec, r, k, "exact", witness, search.nodes,
                     last_exhausted is not None, last_exhausted, seed, basis,
                 )
             last_exhausted = ExhaustionRecord(k, search.tables.group_order, canonical)
     except SearchBudgetExceeded:
         return SearchResult(
-            spec, r, None, "budget", None, search.state.nodes, False,
+            spec, r, None, "budget", None, search.nodes, False,
             last_exhausted, seed, basis,
         )
     return SearchResult(
-        spec, r, None, "budget", None, search.state.nodes, False, last_exhausted, seed, basis
+        spec, r, None, "budget", None, search.nodes, False, last_exhausted, seed, basis
     )

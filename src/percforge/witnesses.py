@@ -20,7 +20,7 @@ from math import comb
 
 from .bootstrap import percolates
 from .counts import DomainError
-from .grid import GridSpec, VertexSet, _json_int, parse_grid
+from .grid import GridSpec, VertexSet, _json_field, _json_int, _json_list, parse_grid
 
 
 class PercolationConstructionError(RuntimeError):
@@ -52,15 +52,16 @@ class PercolatingWitness:
     def from_json_doc(cls, doc: dict) -> "PercolatingWitness":
         if not isinstance(doc, dict) or doc.get("kind") != "percolating-witness":
             raise ValueError("not a percolating witness document")
-        spec = parse_grid(doc["spec"])
-        r = _json_int(doc["r"], "r")
+        spec = parse_grid(_json_field(doc, "spec"))
+        r = _json_int(_json_field(doc, "r"), "r")
         if r < 1:
             raise ValueError(f"threshold r must be >= 1, got {r}")
+        vertices = _json_list(_json_field(doc, "vertices"), "vertices")
         return cls(
             spec,
             r,
-            VertexSet.from_indices(spec, (int(v) for v in doc["vertices"])),
-            str(doc["provenance"]),
+            VertexSet.from_indices(spec, [_json_int(v, "vertex") for v in vertices]),
+            str(_json_field(doc, "provenance")),
         )
 
 

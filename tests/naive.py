@@ -7,7 +7,7 @@ and per-vertex loops, deliberately sharing no kernel code with the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 
 
@@ -71,6 +71,31 @@ def naive_closure(dims: tuple[int, ...], infected: set[tuple[int, ...]], r: int)
 
 def naive_percolates(dims: tuple[int, ...], infected: set, r: int) -> bool:
     return len(naive_closure(dims, infected, r)) == len(naive_vertices(dims))
+
+
+def naive_automorphisms(dims: tuple[int, ...]) -> list[list[int]]:
+    """The grid automorphisms the search uses, one coordinate tuple at a
+    time: for every axis permutation sigma that respects side lengths (in
+    `permutations` order) and every reversal bitmask (bit i reverses axis i
+    of the image), vertex c maps to the vertex with coordinates
+    c[sigma[i]], reversed where bit i is set."""
+    d = len(dims)
+    verts = naive_vertices(dims)
+    index = {c: i for i, c in enumerate(verts)}
+    out = []
+    for sigma in permutations(range(d)):
+        if any(dims[sigma[i]] != dims[i] for i in range(d)):
+            continue
+        for flips in range(1 << d):
+            table = []
+            for c in verts:
+                image = tuple(
+                    dims[i] + 1 - c[sigma[i]] if (flips >> i) & 1 else c[sigma[i]]
+                    for i in range(d)
+                )
+                table.append(index[image])
+            out.append(table)
+    return out
 
 
 def burnside_subset_orbits(perms: list[list[int]], n: int, k: int) -> int:

@@ -175,6 +175,66 @@ def test_construct_and_check(tmp_path, capsys):
     assert code == 1 and doc["percolated"] is False
 
 
+def _witness_doc(**fields):
+    doc = {"kind": "percolating-witness", "spec": "Q3", "r": 2, "size": 2,
+           "vertices": [0, 7], "provenance": "hand"}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, reason",
+    [
+        ("check", _witness_doc(vertices=5), "malformed witness: vertices must be a list"),
+        ("check", _witness_doc(vertices=[0, None]), "malformed witness: vertex must be an integer"),
+        ("check", _witness_doc(size=None), "malformed witness: size must be an integer"),
+        ("check", {"kind": "percolating-witness"}, "malformed witness: missing field 'spec'"),
+        ("recheck", {"kind": "rank-certificate"}, "malformed rank certificate: missing field 'spec'"),
+        ("wsat-verify", {"kind": "saturation-certificate"},
+         "malformed certificate: missing field 'spec'"),
+    ],
+)
+def test_loaders_name_the_malformed_field(tmp_path, capsys, command, doc, reason):
+    out = tmp_path / "doc.json"
+    out.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, command, str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: {reason}\n"
+
+
+def test_loaders_name_missing_nested_and_later_fields(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["wsat-build", "--grid", "Q3", "--r", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["additions"][0]["center"]
+    out.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "wsat-verify", str(out))
+    assert code == 2 and err == "error: malformed certificate: missing field 'center'\n"
+    assert main(["certify", "--grid", "Q3", "--r", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["m_lower"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, _, err = run_cli(capsys, "recheck", str(out))
+    assert code == 2 and err == "error: malformed rank certificate: missing field 'm_lower'\n"
+
+
+def test_recheck_rejects_exponent_entries_at_once(tmp_path, capsys):
+    import time
+
+    out = tmp_path / "rank.json"
+    assert main(["certify", "--grid", "Q3", "--r", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    doc["vectors"][0][0] = "1e10000000"
+    out.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, stdout, err = run_cli(capsys, "recheck", str(out))
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    assert "not an integer or p/q fraction" in err
+
+
 def test_construct_rejects_non_hypercube(capsys):
     code, _, err = run_cli(capsys, "construct", "--grid", "3x3", "--r", "2")
     assert code == 2

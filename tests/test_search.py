@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from percforge.counts import DomainError, m_lower_hypercube
 from percforge.grid import GridSpec, VertexSet
 from percforge.search import (
     SearchConfig,
+    _CanonicalSearch,
     _CanonicalTables,
     _MaskKernel,
     canonical_form,
@@ -25,6 +27,15 @@ def test_group_orders():
     assert len(grid_automorphisms(GridSpec((3, 3)))) == 8
     assert len(grid_automorphisms(GridSpec((3, 2)))) == 4
     assert len(grid_automorphisms(GridSpec((4, 3, 3)))) == 16
+
+
+def test_automorphisms_match_coordinate_reference():
+    from naive import naive_automorphisms
+
+    grids = [(2,), (5,), (3, 2), (2, 3), (3, 3), (4, 3, 3), (3, 4, 3), (2, 2, 2), (2, 3, 2, 3),
+             (2, 2, 2, 2, 2)]
+    for dims in grids:
+        assert grid_automorphisms(GridSpec(dims)) == naive_automorphisms(dims), dims
 
 
 def test_automorphisms_preserve_adjacency():
@@ -65,6 +76,47 @@ def test_orbit_counts_match_burnside():
             got = count_canonical_subsets(spec, k)
             expect = burnside_subset_orbits(perms, spec.num_vertices, k)
             assert got == expect, (spec.dims, k)
+
+
+SMALL_GRIDS = [(2, 2, 2), (3, 3), (2, 3), (2, 2, 3)]
+
+
+def test_levels_are_the_canonical_forms_of_all_subsets():
+    for dims in SMALL_GRIDS:
+        spec = GridSpec(dims)
+        n = spec.num_vertices
+        # above the maximum degree nothing spreads, so no level stops early
+        search = _CanonicalSearch(spec, 2 * spec.d + 1, None)
+        for k in range(1, n):
+            found, _, count = search.decide_layer(k)
+            assert not found
+            level = search.level.tolist()
+            assert level == sorted(level) and count == len(level)
+            expect = {
+                canonical_form(spec, VertexSet.from_indices(spec, combo)).mask
+                for combo in combinations(range(n), k)
+            }
+            assert set(level) == expect, (dims, k)
+
+
+def test_exhaustion_records_match_burnside():
+    from naive import burnside_subset_orbits
+
+    cases = [(GridSpec(dims), r) for dims in SMALL_GRIDS for r in range(1, 2 * len(dims) + 1)]
+    cases.append((GridSpec((2, 7)), 2))
+    for spec, r in cases:
+        perms = grid_automorphisms(spec)
+        res = exact_min(SearchConfig(spec, r, seed_lower=1))
+        assert res.status == "exact"
+        for k in range(1, res.exact_m):
+            found, _, record = exhaust_layer(spec, r, k)
+            assert not found
+            assert record.canonical_sets == burnside_subset_orbits(perms, spec.num_vertices, k)
+            if k == res.exact_m - 1:
+                assert res.exhaustion == record
+    # 2x7 has 266 orbits of 4-sets; a closure filter on sorted prefixes reaches only 260
+    res = exact_min(SearchConfig(GridSpec((2, 7)), 2, seed_lower=1))
+    assert res.exhaustion.k == 4 and res.exhaustion.canonical_sets == 266
 
 
 def test_tables_agree_with_reference_canonicalization():
