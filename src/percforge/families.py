@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
 from .grid import EdgeId, GridSpec, _json_field, _json_int, _json_list, parse_grid
@@ -174,31 +175,43 @@ def _parse_entry(s, parsed: dict[str, Fraction]) -> Fraction:
 # vector helpers
 
 
-def _zeros(n: int) -> list[Fraction]:
-    return [F0] * n
-
-
-def _concat(vec: Vector, pad_after: int, pad_before: int = 0) -> Vector:
-    return (F0,) * pad_before + tuple(vec) + (F0,) * pad_after
-
-
 def _unit(n: int, k: int) -> Vector:
     return tuple(F1 if i == k else F0 for i in range(n))
+
+
+def _combination(vectors: Sequence[Vector], w: int, terms: Iterable[tuple[int, Fraction]]) -> Vector:
+    """sum of x * vectors[e] over the (edge index e, coefficient x) pairs:
+    the combination sum_c x_c f_{e(v,c)} of the edge vectors at a vertex."""
+    acc = [F0] * w
+    for e, xc in terms:
+        for j, x in enumerate(vectors[e]):
+            if x:
+                acc[j] += xc * x
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
 # derived subspaces
 
 
+def _derived(rows, keep: Sequence[int], expect_dim: int) -> SupportSubspace:
+    """The span of `rows` read on the coordinates `keep`, reduced, checked to
+    have dimension `expect_dim` and certified."""
+    reduced = reduce_rows([[row[c] for c in keep] for row in rows], len(keep))
+    derived = SupportSubspace(len(keep), tuple(reduced))
+    if derived.dim != expect_dim:
+        raise CertificationError(
+            f"derived space has dimension {derived.dim}, expected {expect_dim}"
+        )
+    derived.certify()
+    return derived
+
+
 def _eliminate_and_drop(
-    space: SupportSubspace,
-    kill_coord: int,
-    drop_coords: tuple[int, ...],
-    expect_dim: int,
-    certify: bool,
+    space: SupportSubspace, kill_coord: int, drop_coords: tuple[int, ...], expect_dim: int
 ) -> SupportSubspace:
     """Project out `kill_coord` against a member z with z[kill_coord] != 0,
-    then delete `drop_coords`; re-certify the claimed support threshold."""
+    then delete `drop_coords`."""
     target = _lex_first_superset(range(space.ambient), kill_coord, space.codim + 1)
     z = find_support_vector(space, target)
     zc = z[kill_coord]
@@ -207,49 +220,7 @@ def _eliminate_and_drop(
         coeff = Fraction(b[kill_coord]) / zc
         rows.append([Fraction(x) - coeff * zx for x, zx in zip(b, z)])
     kept = [c for c in range(space.ambient) if c not in drop_coords]
-    projected = [[row[c] for c in kept] for row in rows]
-    reduced = reduce_rows(projected, len(kept))
-    derived = SupportSubspace(len(kept), tuple(reduced))
-    if derived.dim != expect_dim:
-        raise CertificationError(
-            f"derived space has dimension {derived.dim}, expected {expect_dim}"
-        )
-    if certify:
-        derived.certify()
-    return derived
-
-
-def _project_drop(
-    space: SupportSubspace, drop_coords: tuple[int, ...], expect_dim: int, certify: bool
-) -> SupportSubspace:
-    kept = [c for c in range(space.ambient) if c not in drop_coords]
-    projected = [[row[c] for c in kept] for row in space.basis]
-    reduced = reduce_rows(projected, len(kept))
-    derived = SupportSubspace(len(kept), tuple(reduced))
-    if derived.dim != expect_dim:
-        raise CertificationError(
-            f"projected space has dimension {derived.dim}, expected {expect_dim}"
-        )
-    if certify:
-        derived.certify()
-    return derived
-
-
-def _restrict_to_coords(
-    space: SupportSubspace, keep: tuple[int, ...], expect_dim: int, certify: bool
-) -> SupportSubspace:
-    """Members supported inside `keep`, compressed onto those coordinates."""
-    members = space.vectors_supported_inside(keep)
-    compressed = [[vec[c] for c in keep] for vec in members]
-    reduced = reduce_rows(compressed, len(keep))
-    derived = SupportSubspace(len(keep), tuple(reduced))
-    if derived.dim != expect_dim:
-        raise CertificationError(
-            f"restricted space has dimension {derived.dim}, expected {expect_dim}"
-        )
-    if certify:
-        derived.certify()
-    return derived
+    return _derived(rows, kept, expect_dim)
 
 
 def _lex_first_superset(universe, required: int, size: int) -> tuple[int, ...]:
@@ -273,8 +244,8 @@ def _lex_first_superset(universe, required: int, size: int) -> tuple[int, ...]:
 # hypercube family (direction coordinates)
 
 
-def _cube_family(d: int, r: int, space: SupportSubspace, certify: bool) -> list[Vector]:
-    spec = GridSpec.hypercube(d)
+def _cube_family(spec: GridSpec, r: int, space: SupportSubspace) -> list[Vector]:
+    d = spec.d
     ne = spec.num_edges
     if r == 0:
         return [()] * ne
@@ -282,40 +253,28 @@ def _cube_family(d: int, r: int, space: SupportSubspace, certify: bool) -> list[
         return [_unit(ne, k) for k in range(ne)]
 
     w = wsat_hypercube(d, r)
-    x0 = _eliminate_and_drop(space, d - 1, (d - 1,), d - 1 - r, certify)
-    x1 = _project_drop(space, (d - 1,), d - r, certify)
-    f0 = _cube_family(d - 1, r, x0, certify)
-    f1 = _cube_family(d - 1, r - 1, x1, certify)
+    sub = GridSpec.hypercube(d - 1)
+    x0 = _eliminate_and_drop(space, d - 1, (d - 1,), d - 1 - r)
+    x1 = _derived(space.basis, range(d - 1), d - r)
+    f0 = _cube_family(sub, r, x0)
+    f1 = _cube_family(sub, r - 1, x1)
     w0 = wsat_hypercube(d - 1, r)
     w1 = wsat_hypercube(d - 1, r - 1)
     assert w == w0 + w1
 
-    sub = GridSpec.hypercube(d - 1)
     off = 1 << (d - 1)
     vectors: list[Vector | None] = [None] * ne
-    sub_edges = sub.edges_in_order()
-    low_idx = [spec.edge_index(EdgeId(e.vertex, e.axis)) for e in sub_edges]
-    high_idx = [spec.edge_index(EdgeId(e.vertex + off, e.axis)) for e in sub_edges]
-    for k, _ in enumerate(sub_edges):
-        vectors[low_idx[k]] = _concat(f0[k], w1)
+    for k, (v, axis) in enumerate(sub.edge_list):
+        vectors[spec.edge_index(EdgeId(v, axis))] = f0[k] + (F0,) * w1
+        vectors[spec.edge_index(EdgeId(v + off, axis))] = f0[k] + f1[k]
 
+    # cross edges kill the z-relation at their bottom endpoint
     target = _lex_first_superset(range(d), d - 1, r + 1)
     z = find_support_vector(space, target)
-    zd = z[d - 1]
+    terms = [(c, -z[c] / z[d - 1]) for c in range(d - 1) if z[c]]
     for v in range(off):
-        acc = _zeros(w)
-        for coord in range(d - 1):
-            zc = z[coord]
-            if zc:
-                lower = v & ~(1 << coord)
-                fvec = vectors[spec.edge_index(EdgeId(lower, coord + 1))]
-                for j, x in enumerate(fvec):
-                    if x:
-                        acc[j] += zc * x
-        vectors[spec.edge_index(EdgeId(v, d))] = tuple(-x / zd if x else F0 for x in acc)
-
-    for k, _ in enumerate(sub_edges):
-        vectors[high_idx[k]] = tuple(f0[k]) + tuple(f1[k])
+        star = [(spec.edge_index(EdgeId(v & ~(1 << c), c + 1)), x) for c, x in terms]
+        vectors[spec.edge_index(EdgeId(v, d))] = _combination(vectors, w, star)
     assert all(vec is not None for vec in vectors)
     return vectors  # type: ignore[return-value]
 
@@ -324,80 +283,80 @@ def _cube_family(d: int, r: int, space: SupportSubspace, certify: bool) -> list[
 # grid family (odd/even label coordinates)
 
 
-def _grid_family(dims: tuple[int, ...], r: int, space: SupportSubspace, certify: bool) -> list[Vector]:
-    d = len(dims)
+def _grid_family(spec: GridSpec, r: int, space: SupportSubspace) -> list[Vector]:
+    dims, d, ne = spec.dims, spec.d, spec.num_edges
     if d == 0:
         return []
-    spec = GridSpec(dims)
-    ne = spec.num_edges
     if r == 0:
         return [()] * ne
     if r == 2 * d:
         return [_unit(ne, k) for k in range(ne)]
-    if all(a == 2 for a in dims):
+    if spec.is_hypercube:
         if r > d:
             return [_unit(ne, k) for k in range(ne)]
         odd = tuple(2 * i for i in range(d))  # 0-based slots of labels 1,3,5,...
-        compressed = _restrict_to_coords(space, odd, d - r, certify)
-        return _cube_family(d, r, compressed, certify)
+        compressed = _derived(space.vectors_supported_inside(odd), odd, d - r)
+        return _cube_family(spec, r, compressed)
 
+    # one spec per shape: g1 is the previous layer's parent
     p = max(i + 1 for i, a in enumerate(dims) if a >= 3)
     a_p = dims[p - 1]
-    side_dims = dims[: p - 1] + dims[p:]
-    cur = _grid_family(dims[: p - 1] + (2,) + dims[p:], r, space, certify)
+    side = GridSpec(dims[: p - 1] + dims[p:])
+    g1 = GridSpec(dims[: p - 1] + (2,) + dims[p:])
+    cur = _grid_family(g1, r, space)
     side_cache: dict[int, list[Vector]] = {}
 
     def side_family(tau_label: int) -> list[Vector]:
         taubar0 = (2 * p - 1 if tau_label == 2 * p else 2 * p) - 1
         if taubar0 not in side_cache:
-            x2 = _eliminate_and_drop(
-                space, taubar0, (2 * p - 2, 2 * p - 1), 2 * d - r - 1, certify
-            )
-            side_cache[taubar0] = _grid_family(side_dims, r - 1, x2, certify)
+            x2 = _eliminate_and_drop(space, taubar0, (2 * p - 2, 2 * p - 1), 2 * d - r - 1)
+            side_cache[taubar0] = _grid_family(side, r - 1, x2)
         return side_cache[taubar0]
 
     for m in range(3, a_p + 1):
-        parent = GridSpec(dims[: p - 1] + (m,) + dims[p:])
+        parent = spec if m == a_p else GridSpec(dims[: p - 1] + (m,) + dims[p:])
         tau_label = 2 * p - 1 if (m - 1) % 2 == 1 else 2 * p
-        cur = _combine_layer(parent, p, m, cur, side_family(tau_label), r, space, tau_label)
+        cur = _combine_layer(parent, g1, side, p, cur, side_family(tau_label), r, space, tau_label)
+        g1 = parent
     return cur
 
 
 def _combine_layer(
     parent: GridSpec,
+    g1: GridSpec,
+    side: GridSpec,
     p: int,
-    m: int,
     g1_vecs: list[Vector],
     side_vecs: list[Vector],
     r: int,
     space: SupportSubspace,
     tau_label: int,
 ) -> list[Vector]:
-    g1 = GridSpec(parent.dims[: p - 1] + (m - 1,) + parent.dims[p:])
-    side = GridSpec(parent.dims[: p - 1] + parent.dims[p:])
+    """Glue g1 (axis p cut to m - 1) and the side grid (axis p removed) into
+    the parent (axis p of length m): g1 is the parent's lower slab, the side
+    grid its top slice, and the cross edges join g1's top slice to it."""
+    m = parent.dims[p - 1]
     w1 = w_recurrence(g1.dims, r)
     w2 = w_recurrence(side.dims, r - 1)
-    top = [v for v in g1.vertices() if g1.coord(v, p) == m - 1]
-    y_set = [v for v in top if len(g1.incident_labels(v)) < r]
-    y_pos = {v: i for i, v in enumerate(y_set)}
-    w = w1 + w2 + len(y_set)
+    top = g1.slab_indices(p, m - 2, 1)  # g1's top slice, indexed like side
+    y_pos: dict[int, int] = {}
+    for v in top:
+        if len(g1.incident_labels(v)) < r:
+            y_pos[v] = len(y_pos)
+    pad = (F0,) * len(y_pos)
+    w = w1 + w2 + len(y_pos)
     assert w == w_recurrence(parent.dims, r)
 
-    emb1 = [parent.index_of(g1.coords_of(v)) for v in g1.vertices()]
-    embs = []
-    for v in side.vertices():
-        coords = list(side.coords_of(v))
-        coords.insert(p - 1, m)
-        embs.append(parent.index_of(coords))
+    emb1 = parent.slab_indices(p, 0, m - 1)
+    embs = parent.slab_indices(p, m - 1, 1)
 
     vectors: list[Vector | None] = [None] * parent.num_edges
-    g1_edges = g1.edges_in_order()
-    for k, e in enumerate(g1_edges):
-        idx = parent.edge_index(EdgeId(emb1[e.vertex], e.axis))
-        vectors[idx] = _concat(g1_vecs[k], w2 + len(y_set))
+    g1_pad = (F0,) * w2 + pad
+    for k, (v, axis) in enumerate(g1.edge_list):
+        vectors[parent.edge_index(EdgeId(emb1[v], axis))] = g1_vecs[k] + g1_pad
 
     tau0 = tau_label - 1
-    cache: dict[tuple[int, ...], Vector] = {}
+    cache: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
     for v in top:
         pv = emb1[v]
         idx = parent.edge_index(EdgeId(pv, p))
@@ -406,31 +365,18 @@ def _combine_layer(
             continue
         coords_at_v = tuple(j - 1 for j in parent.incident_labels(pv))
         target = _lex_first_superset(coords_at_v, tau0, space.codim + 1)
-        zv = cache.get(target)
-        if zv is None:
+        terms = cache.get(target)
+        if terms is None:
             zv = find_support_vector(space, target)
-            cache[target] = zv
-        acc = _zeros(w)
-        for c in target:
-            if c == tau0:
-                continue
-            zc = zv[c]
-            fvec = vectors[parent.label_to_edge_index(pv, c + 1)]
-            for j, x in enumerate(fvec):
-                if x:
-                    acc[j] += zc * x
-        z_tau = zv[tau0]
-        vectors[idx] = tuple(-x / z_tau if x else F0 for x in acc)
+            terms = cache[target] = [(c, -zv[c] / zv[tau0]) for c in target if c != tau0]
+        star = [(parent.label_to_edge_index(pv, c + 1), x) for c, x in terms]
+        vectors[idx] = _combination(vectors, w, star)
 
-    side_edges = side.edges_in_order()
-    for k, e in enumerate(side_edges):
-        axis = e.axis if e.axis < p else e.axis + 1
-        idx = parent.edge_index(EdgeId(embs[e.vertex], axis))
-        low_coords = list(side.coords_of(e.vertex))
-        low_coords.insert(p - 1, m - 1)
-        shadow = EdgeId(g1.index_of(low_coords), axis)
-        fe1 = g1_vecs[g1.edge_index(shadow)]
-        vectors[idx] = tuple(fe1) + tuple(side_vecs[k]) + (F0,) * len(y_set)
+    for k, (u, axis) in enumerate(side.edge_list):
+        if axis >= p:
+            axis += 1
+        shadow = g1_vecs[g1.edge_index(EdgeId(top[u], axis))]
+        vectors[parent.edge_index(EdgeId(embs[u], axis))] = shadow + side_vecs[k] + pad
     assert all(vec is not None for vec in vectors)
     return vectors  # type: ignore[return-value]
 
@@ -439,29 +385,28 @@ def _combine_layer(
 # entry points and verification
 
 
-def build_edge_vectors_hypercube(d: int, r: int, certify: bool = True) -> EdgeVectorFamily:
+def build_edge_vectors_hypercube(d: int, r: int) -> EdgeVectorFamily:
     """Direction-coordinate family for Q_d with span dimension
     wsat_hypercube(d, r); both defining properties are verified."""
     if not d >= r >= 0:
         raise DomainError(f"need d >= r >= 0, got d={d}, r={r}")
-    space = build_support_subspace(d, r, certify=certify)
-    vectors = _cube_family(d, r, space, certify)
-    family = EdgeVectorFamily(
-        GridSpec.hypercube(d), r, "direction", wsat_hypercube(d, r), tuple(vectors), space
-    )
+    spec = GridSpec.hypercube(d)
+    space = build_support_subspace(d, r)
+    vectors = _cube_family(spec, r, space)
+    family = EdgeVectorFamily(spec, r, "direction", wsat_hypercube(d, r), tuple(vectors), space)
     verify_family(family)
     return family
 
 
-def build_edge_vectors_grid(dims, r: int, certify: bool = True) -> EdgeVectorFamily:
+def build_edge_vectors_grid(dims, r: int) -> EdgeVectorFamily:
     """Label-coordinate family for the grid with span dimension
     w_recurrence(dims, r); both defining properties are verified."""
-    family = _unverified_grid_family(dims, r, certify)
+    family = _unverified_grid_family(dims, r)
     verify_family(family)
     return family
 
 
-def _unverified_grid_family(dims, r: int, certify: bool) -> EdgeVectorFamily:
+def _unverified_grid_family(dims, r: int) -> EdgeVectorFamily:
     dims = tuple(int(a) for a in dims)
     if not dims:
         raise DomainError("grid needs at least one axis")
@@ -469,11 +414,10 @@ def _unverified_grid_family(dims, r: int, certify: bool) -> EdgeVectorFamily:
         raise DomainError(f"all sides must be >= 2, got {dims}")
     if not 0 <= r <= 2 * len(dims):
         raise DomainError(f"need 0 <= r <= 2d, got r={r}")
-    space = build_support_subspace(2 * len(dims), r, certify=certify)
-    vectors = _grid_family(dims, r, space, certify)
-    return EdgeVectorFamily(
-        GridSpec(dims), r, "grid", w_recurrence(dims, r), tuple(vectors), space
-    )
+    spec = GridSpec(dims)
+    space = build_support_subspace(2 * len(dims), r)
+    vectors = _grid_family(spec, r, space)
+    return EdgeVectorFamily(spec, r, "grid", w_recurrence(dims, r), tuple(vectors), space)
 
 
 def verify_family(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
@@ -506,14 +450,8 @@ def verify_family(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
             members = family.subspace.vectors_supported_inside(coords)
             members_cache[coords] = members
         for x in members:
-            acc = _zeros(w)
-            for c in support(x):
-                fvec = family.vectors[family.edge_at(v, c)]
-                xc = x[c]
-                for j, val in enumerate(fvec):
-                    if val:
-                        acc[j] += xc * val
-            if any(acc):
+            star = [(family.edge_at(v, c), x[c]) for c in support(x)]
+            if any(_combination(family.vectors, w, star)):
                 raise FamilyError(f"vanishing relation fails at vertex {v}")
     rank, pivots = family_rank(family)
     if rank != w:
@@ -569,27 +507,21 @@ def verify_star_relations(family: EdgeVectorFamily) -> int:
                 cache[t] = x
             if support(x) != t:
                 raise FamilyError(f"support vector for {t} has wrong support")
-            acc = _zeros(w)
-            for c in t:
-                fvec = family.vectors[family.edge_at(v, c)]
-                xc = x[c]
-                for j, val in enumerate(fvec):
-                    if val:
-                        acc[j] += xc * val
-            if any(acc):
+            star = [(family.edge_at(v, c), x[c]) for c in t]
+            if any(_combination(family.vectors, w, star)):
                 raise FamilyError(f"star relation fails at vertex {v}, labels {t}")
             checked += 1
     return checked
 
 
-def assemble_lower_bound(dims, r: int, certify: bool = True) -> RankCertificate:
+def assemble_lower_bound(dims, r: int) -> RankCertificate:
     """Build the grid family, verify it, and package the certified bounds
     wsat >= rank, m >= ceil(rank/r).
 
     `verify_family` is the one verification pass: its basis relation pass
     implies every star relation, because the Vandermonde subspace has
-    codimension r by construction and support >= r+1 (certified unless
-    certify=False, a theorem either way), and its single exact elimination
+    codimension r by construction and support >= r+1 (certified when it is
+    built, and a theorem besides), and its single exact elimination
     checks rank = w and gives the pivot edges stored in the certificate.
     Ranking the family again or checking the stars one by one would prove
     nothing new.
@@ -597,7 +529,7 @@ def assemble_lower_bound(dims, r: int, certify: bool = True) -> RankCertificate:
     dims = tuple(int(a) for a in dims)
     if not 1 <= r <= 2 * len(dims):
         raise DomainError(f"need 1 <= r <= 2d, got r={r}")
-    family = _unverified_grid_family(dims, r, certify)
+    family = _unverified_grid_family(dims, r)
     rank, pivots = verify_family(family)
     m_lower = -(-rank // r)
     return RankCertificate(family, rank, pivots, rank, m_lower)

@@ -137,6 +137,29 @@ class GridSpec:
     def vertices(self) -> range:
         return range(self.num_vertices)
 
+    def slab_indices(self, axis: int, offset: int, length: int) -> list[int]:
+        """Indices of the vertices whose coordinate on the 1-based `axis` is
+        one of offset+1..offset+length, in increasing order.
+
+        Entry u is the image of vertex u of the sub-grid with that axis cut
+        to `length` values (a slab), or, for length 1, of the sub-grid with
+        the axis removed (a slice, which has the same vertex order).  With
+        stride = strides[axis - 1], inner = stride * length and
+        outer = stride * dims[axis - 1], vertex u maps to
+        u % inner + stride * offset + (u // inner) * outer.
+        """
+        a = self.dims[axis - 1]
+        if not (offset >= 0 and length >= 1 and offset + length <= a):
+            raise GridError(f"coordinates {offset + 1}..{offset + length} out of range 1..{a}")
+        stride = self.strides[axis - 1]
+        inner = stride * length
+        outer = stride * a
+        return [
+            hi + lo
+            for hi in range(stride * offset, self.num_vertices, outer)
+            for lo in range(inner)
+        ]
+
     # -- adjacency and labels ----------------------------------------------
 
     def neighbors(self, v: int) -> list[int]:

@@ -62,43 +62,18 @@ def primitive_int_row(row: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def reduce_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
-    """Row-reduce to an independent echelon set of primitive integer rows.
-
-    Fraction-free: each elimination uses cross-multiplication followed by a
-    gcd rescale of the updated row, so no rationals ever appear.
-    """
-    work = [list(primitive_int_row(r)) for r in rows]
-    work = [r for r in work if any(r)]
-    out: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        idx = next((i for i, r in enumerate(work) if r[col]), None)
-        if idx is None:
-            continue
-        piv_row = work.pop(idx)
-        piv = piv_row[col]
-        for r in work:
-            x = r[col]
-            if x:
-                for c in range(ncols):
-                    r[c] = r[c] * piv - x * piv_row[c]
-                g = 0
-                for c in range(ncols):
-                    g = gcd(g, r[c])
-                if g > 1:
-                    for c in range(ncols):
-                        r[c] //= g
-        work = [r for r in work if any(r)]
-        out.append(piv_row)
-        pivot_cols.append(col)
-    return [tuple(primitive_int_row(r)) for r in out]
-
-
-def rank_profile_of_rows(
+def _echelon(
     rows: Iterable[Sequence[Fraction | int]], ncols: int
-) -> tuple[int, tuple[int, ...]]:
-    """Exact rank plus the first-nonzero pivot columns."""
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The one fraction-free forward elimination: echelon integer rows (one
+    per pivot) and their first-nonzero pivot columns.
+
+    Each update cross-multiplies by the pivot and divides the updated row
+    by the gcd of its remaining entries, so no rationals appear.  Only the
+    columns from the pivot on are touched (earlier ones are already zero in
+    every row below), and the loop stops once every row is a pivot row.
+    The pivot columns are fixed by the row space, whatever the row order.
+    """
     work = [list(primitive_int_row(r)) for r in rows]
     work = [r for r in work if any(r)]
     pivots: list[int] = []
@@ -126,17 +101,29 @@ def rank_profile_of_rows(
         pivots.append(col)
         if rank == len(work):
             break
-    return rank, tuple(pivots)
+    return work[:rank], tuple(pivots)
+
+
+def reduce_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
+    """Row-reduce to an independent echelon set of primitive integer rows.
+    Which rows come out depends on the input order; their span does not."""
+    echelon, _ = _echelon(rows, ncols)
+    return [primitive_int_row(r) for r in echelon]
+
+
+def rank_profile_of_rows(
+    rows: Iterable[Sequence[Fraction | int]], ncols: int
+) -> tuple[int, tuple[int, ...]]:
+    """Exact rank plus the first-nonzero pivot columns."""
+    _, pivots = _echelon(rows, ncols)
+    return len(pivots), pivots
 
 
 def nullspace_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
     """Deterministic primitive basis of {x : M x = 0}: free variables in
     column order, one at a time set to 1, pivots back-substituted."""
-    echelon = reduce_rows(rows, ncols)
-    pivot_of: dict[int, tuple[int, ...]] = {}
-    for r in echelon:
-        col = next(c for c in range(ncols) if r[c])
-        pivot_of[col] = r
+    echelon, pivots = _echelon(rows, ncols)
+    pivot_of = dict(zip(pivots, echelon))
     free = [c for c in range(ncols) if c not in pivot_of]
     basis = []
     for f in free:

@@ -161,6 +161,12 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
     s = cert.star_size
     if s < 1:
         return CertCheck(False, None, "star size must be >= 1")
+    # read the grid's tables once: an edge's endpoints are its lower vertex
+    # plus the axis stride, and e(v, j) is label_table[v * width + j - 1]
+    edge_list = spec.edge_list
+    strides = spec.strides
+    label_table = spec._label_table
+    width = 2 * spec.d
     present = bytearray(ne)
     for e in cert.base_edges:
         if not 0 <= e < ne:
@@ -173,18 +179,18 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
             return CertCheck(False, i, f"edge {add.edge} out of range")
         if present[add.edge]:
             return CertCheck(False, i, f"edge {add.edge} already present")
-        eid = spec.edge_from_index(add.edge)
-        u, v = spec.endpoints(eid)
-        if add.center not in (u, v):
-            return CertCheck(False, i, f"center {add.center} not on edge {add.edge}")
+        u, axis = edge_list[add.edge]
+        center = add.center
+        if center != u and center != u + strides[axis - 1]:
+            return CertCheck(False, i, f"center {center} not on edge {add.edge}")
         if len(add.labels) != s - 1 or len(set(add.labels)) != len(add.labels):
             return CertCheck(False, i, f"witness needs {s - 1} distinct labels")
         for j in add.labels:
-            if not 1 <= j <= 2 * spec.d:
+            if not 1 <= j <= width:
                 return CertCheck(False, i, f"label {j} out of range")
-            other = spec.label_to_edge_index(add.center, j)
+            other = label_table[center * width + j - 1]
             if other < 0:
-                return CertCheck(False, i, f"label {j} does not exist at {add.center}")
+                return CertCheck(False, i, f"label {j} does not exist at {center}")
             if not present[other]:
                 return CertCheck(False, i, f"witness edge with label {j} not yet present")
         present[add.edge] = 1
@@ -377,18 +383,6 @@ def _cube_parts(d: int, r: int) -> _Parts:
     return base, additions
 
 
-def _index_embedding(sub: GridSpec, parent: GridSpec, insert_axis: int | None, insert_coord: int | None) -> list[int]:
-    """Map each sub-grid vertex index to its parent index, optionally
-    inserting one fixed coordinate at a 1-based axis position."""
-    out = []
-    for v in range(sub.num_vertices):
-        coords = list(sub.coords_of(v))
-        if insert_axis is not None:
-            coords.insert(insert_axis - 1, insert_coord)
-        out.append(parent.index_of(coords))
-    return out
-
-
 def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
     """Peel layers off the highest axis of length >= 3: each layer m glues
     the already-saturated slab (axis-p coordinate < m) to a saturated copy
@@ -411,13 +405,12 @@ def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
     a_p = dims[p - 1]
     vstride = spec.strides[p - 1]
 
-    base_spec = GridSpec(dims[: p - 1] + (2,) + dims[p:])
-    side_spec = GridSpec(dims[: p - 1] + dims[p:]) if d > 1 else None
-    bottom_base, bottom_adds = _grid_parts(base_spec.dims, r)
-    side_base, side_adds = _grid_parts(side_spec.dims if side_spec else (), r - 1)
+    side_spec = GridSpec(dims[: p - 1] + dims[p:])  # no axes when d = 1: one vertex
+    bottom_base, bottom_adds = _grid_parts(dims[: p - 1] + (2,) + dims[p:], r)
+    side_base, side_adds = _grid_parts(side_spec.dims, r - 1)
 
     # the a_p = 2 slab keeps its coordinates; only strides differ
-    emb_bottom = _index_embedding(base_spec, spec, None, None)
+    emb_bottom = spec.slab_indices(p, 0, 2)
     base = [EdgeId(emb_bottom[e.vertex], e.axis) for e in bottom_base]
     additions: list[tuple[EdgeId, int, tuple[int, ...]]] = [
         (EdgeId(emb_bottom[e.vertex], e.axis), emb_bottom[c], labels)
@@ -431,24 +424,17 @@ def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
         q = remap_axis((label + 1) // 2)
         return 2 * q - 1 if label % 2 == 1 else 2 * q
 
-    if side_spec is not None:
-        emb_side1 = _index_embedding(side_spec, spec, p, 1)
-        side_order = list(side_spec.vertices())
-        side_labels = [
-            tuple(remap_label(x) for x in side_spec.incident_labels(v)) for v in side_order
-        ]
-        side_adds_mapped = [
-            (emb_side1[e.vertex], remap_axis(e.axis), emb_side1[c],
-             tuple(remap_label(x) for x in labels))
-            for e, c, labels in side_adds
-        ]
-        side_base_mapped = [(emb_side1[e.vertex], remap_axis(e.axis)) for e in side_base]
-    else:
-        emb_side1 = [0]
-        side_order = [0]
-        side_labels = [()]
-        side_adds_mapped = []
-        side_base_mapped = []
+    emb_side1 = spec.slab_indices(p, 0, 1)
+    side_order = list(side_spec.vertices())
+    side_labels = [
+        tuple(remap_label(x) for x in side_spec.incident_labels(v)) for v in side_order
+    ]
+    side_adds_mapped = [
+        (emb_side1[e.vertex], remap_axis(e.axis), emb_side1[c],
+         tuple(remap_label(x) for x in labels))
+        for e, c, labels in side_adds
+    ]
+    side_base_mapped = [(emb_side1[e.vertex], remap_axis(e.axis)) for e in side_base]
 
     # Y and the stage-2 witness labels depend only on the parity of the
     # top slice's inner boundary label, not on the layer itself

@@ -263,6 +263,7 @@ class _CanonicalSearch:
         self.spec = spec
         self.kernel = _MaskKernel(spec, r)
         self.tables = _CanonicalTables(spec)
+        self.group_order = self.tables.group_order
         self.node_budget = node_budget
         self.nodes = 0
         self.size = 0  # every set in `level` has this many vertices
@@ -304,42 +305,57 @@ class _CanonicalSearch:
         return False, None, len(self.level)
 
 
-def _naive_layer(spec: GridSpec, r: int, k: int) -> tuple[bool, int | None, int]:
-    """Reference decision without symmetry: every k-subset."""
-    full = spec.full_vertex_mask
-    tried = 0
-    for combo in combinations(spec.vertices(), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        tried += 1
-        if closure_mask(spec, mask, r) == full:
-            return True, mask, tried
-    return False, None, tried
+class _NaiveSearch:
+    """Reference decision without symmetry: every k-subset of a layer, each
+    counted as a node, so the node budget bounds the work inside a layer."""
+
+    group_order = 1
+
+    def __init__(self, spec: GridSpec, r: int, node_budget: int | None):
+        self.spec = spec
+        self.r = r
+        self.node_budget = node_budget
+        self.nodes = 0
+
+    def decide_layer(self, k: int) -> tuple[bool, int | None, int | None]:
+        """Same contract as `_CanonicalSearch.decide_layer`; the count of an
+        exhausted layer is the number of k-subsets."""
+        full = self.spec.full_vertex_mask
+        start = self.nodes
+        for combo in combinations(self.spec.vertices(), k):
+            self.nodes += 1
+            if self.node_budget is not None and self.nodes > self.node_budget:
+                raise SearchBudgetExceeded(f"node budget exceeded at {self.nodes}")
+            mask = 0
+            for v in combo:
+                mask |= 1 << v
+            if closure_mask(self.spec, mask, self.r) == full:
+                return True, mask, None
+        return False, None, self.nodes - start
+
+
+def _witness(spec: GridSpec, r: int, mask: int) -> PercolatingWitness:
+    if closure_mask(spec, mask, r) != spec.full_vertex_mask:
+        raise AssertionError("search produced a non-percolating witness")
+    return PercolatingWitness(spec, r, VertexSet(spec, mask), "search")
 
 
 def exhaust_layer(
     spec: GridSpec, r: int, k: int, node_budget: int | None = None, symmetry: bool = True
 ) -> tuple[bool, PercolatingWitness | None, ExhaustionRecord | None]:
-    """Complete decision of one layer: does some k-set percolate?"""
-    if symmetry:
-        search = _CanonicalSearch(spec, r, node_budget)
-        found, mask, canonical = search.decide_layer(k)
-        order = search.tables.group_order
-    else:
-        found, mask, canonical = _naive_layer(spec, r, k)
-        order = 1
+    """Complete decision of one layer: does some k-set percolate?  Raises
+    SearchBudgetExceeded once more than `node_budget` nodes are generated."""
+    search = (_CanonicalSearch if symmetry else _NaiveSearch)(spec, r, node_budget)
+    found, mask, count = search.decide_layer(k)
     if found:
-        witness = PercolatingWitness(spec, r, VertexSet(spec, mask), "search")
-        if closure_mask(spec, mask, r) != spec.full_vertex_mask:
-            raise AssertionError("search produced a non-percolating witness")
-        return True, witness, None
-    return False, None, ExhaustionRecord(k, order, canonical)
+        return True, _witness(spec, r, mask), None
+    return False, None, ExhaustionRecord(k, search.group_order, count)
 
 
 def exact_min(config: SearchConfig) -> SearchResult:
     """Minimum percolating set size, seeded at the certified lower bound and
-    decided layer by layer over canonical representatives."""
+    decided layer by layer, over canonical representatives unless
+    `symmetry` is off."""
     spec, r = config.spec, config.r
     if r < 1:
         raise DomainError("search requires threshold r >= 1")
@@ -360,44 +376,20 @@ def exact_min(config: SearchConfig) -> SearchResult:
         basis = "caller"
 
     size_cap = min(config.size_budget or n, config.seed_upper or n, n)
-    if not config.symmetry:
-        nodes = 0
-        last_naive: ExhaustionRecord | None = None
-        for k in range(seed, size_cap + 1):
-            found, mask, tried = _naive_layer(spec, r, k)
-            nodes += tried
-            if config.node_budget is not None and nodes > config.node_budget:
-                return SearchResult(
-                    spec, r, None, "budget", None, nodes, False, last_naive, seed, basis
-                )
-            if found:
-                witness = PercolatingWitness(spec, r, VertexSet(spec, mask), "search")
-                return SearchResult(
-                    spec, r, k, "exact", witness, nodes,
-                    last_naive is not None, last_naive, seed, basis,
-                )
-            last_naive = ExhaustionRecord(k, 1, tried)
-        return SearchResult(spec, r, None, "budget", None, nodes, False, last_naive, seed, basis)
-
-    search = _CanonicalSearch(spec, r, config.node_budget)
+    layers = _CanonicalSearch if config.symmetry else _NaiveSearch
+    search = layers(spec, r, config.node_budget)
     last_exhausted: ExhaustionRecord | None = None
     try:
         for k in range(seed, size_cap + 1):
-            found, mask, canonical = search.decide_layer(k)
+            found, mask, count = search.decide_layer(k)
             if found:
-                witness = PercolatingWitness(spec, r, VertexSet(spec, int(mask)), "search")
-                if closure_mask(spec, int(mask), r) != spec.full_vertex_mask:
-                    raise AssertionError("search produced a non-percolating witness")
                 return SearchResult(
-                    spec, r, k, "exact", witness, search.nodes,
+                    spec, r, k, "exact", _witness(spec, r, mask), search.nodes,
                     last_exhausted is not None, last_exhausted, seed, basis,
                 )
-            last_exhausted = ExhaustionRecord(k, search.tables.group_order, canonical)
+            last_exhausted = ExhaustionRecord(k, search.group_order, count)
     except SearchBudgetExceeded:
-        return SearchResult(
-            spec, r, None, "budget", None, search.nodes, False,
-            last_exhausted, seed, basis,
-        )
+        pass
     return SearchResult(
         spec, r, None, "budget", None, search.nodes, False, last_exhausted, seed, basis
     )

@@ -57,11 +57,14 @@ class PercolatingWitness:
         if r < 1:
             raise ValueError(f"threshold r must be >= 1, got {r}")
         vertices = _json_list(_json_field(doc, "vertices"), "vertices")
+        provenance = _json_field(doc, "provenance")
+        if not isinstance(provenance, str):
+            raise ValueError("provenance must be a string")
         return cls(
             spec,
             r,
             VertexSet.from_indices(spec, [_json_int(v, "vertex") for v in vertices]),
-            str(_json_field(doc, "provenance")),
+            provenance,
         )
 
 

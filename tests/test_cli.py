@@ -192,6 +192,10 @@ def _witness_doc(**fields):
         ("recheck", {"kind": "rank-certificate"}, "malformed rank certificate: missing field 'spec'"),
         ("wsat-verify", {"kind": "saturation-certificate"},
          "malformed certificate: missing field 'spec'"),
+        ("check", _witness_doc(provenance=None), "malformed witness: provenance must be a string"),
+        ("check", _witness_doc(provenance=7), "malformed witness: provenance must be a string"),
+        ("check", _witness_doc(provenance=[]), "malformed witness: provenance must be a string"),
+        ("check", _witness_doc(provenance={}), "malformed witness: provenance must be a string"),
     ],
 )
 def test_loaders_name_the_malformed_field(tmp_path, capsys, command, doc, reason):
@@ -248,6 +252,19 @@ def test_search_small(capsys):
     code, doc, _ = run_json(capsys, "search", "--grid", "Q4", "--r", "3", "--node-budget", "10")
     assert code == 3
     assert doc["status"] == "budget" and doc["exact_m"] is None
+
+
+def test_naive_search_stops_at_the_node_budget_inside_a_layer(capsys):
+    # layer 13 of Q5 has C(32, 13) subsets; the budget must stop it early
+    import time
+
+    t0 = time.perf_counter()
+    code, doc, _ = run_json(capsys, "search", "--grid", "Q5", "--r", "4", "--no-symmetry",
+                            "--node-budget", "1000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert doc["status"] == "budget" and doc["exact_m"] is None
+    assert doc["nodes_explored"] <= 1001
 
 
 def test_simulate(capsys):

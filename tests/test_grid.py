@@ -219,3 +219,31 @@ def test_coord_masks_match_per_vertex_scan():
                 if spec.coord(v, axis) >= c:
                     expect |= 1 << v
             assert mask == expect
+
+
+def test_slab_indices_match_coordinate_round_trip():
+    # a slab keeps the axis with `length` values from offset + 1; a slice
+    # (length 1) drops it, and both list parent indices in sub-grid order
+    for dims in SMALL_GRIDS + [(4, 3, 5), (2, 5, 3, 2)]:
+        spec = GridSpec(dims)
+        for axis in range(1, spec.d + 1):
+            a = dims[axis - 1]
+            for length in range(1, a + 1):
+                for offset in range(a - length + 1):
+                    sub_dims = dims[: axis - 1] + (length,) + dims[axis:]
+                    expect = []
+                    for coords in naive_vertices(sub_dims):
+                        coords = list(coords)
+                        coords[axis - 1] += offset
+                        expect.append(spec.index_of(coords))
+                    assert spec.slab_indices(axis, offset, length) == expect
+                    if length == 1 and spec.d > 1:
+                        side = GridSpec(dims[: axis - 1] + dims[axis:])
+                        expect = []
+                        for v in side.vertices():
+                            coords = list(side.coords_of(v))
+                            coords.insert(axis - 1, offset + 1)
+                            expect.append(spec.index_of(coords))
+                        assert spec.slab_indices(axis, offset, 1) == expect
+    with pytest.raises(GridError):
+        GridSpec((3, 3)).slab_indices(1, 2, 2)

@@ -8,6 +8,7 @@ from percforge.bootstrap import percolates
 from percforge.counts import DomainError, m_lower_hypercube
 from percforge.grid import GridSpec, VertexSet
 from percforge.search import (
+    SearchBudgetExceeded,
     SearchConfig,
     _CanonicalSearch,
     _CanonicalTables,
@@ -239,6 +240,21 @@ def test_budget_flagging():
     res = exact_min(SearchConfig(GridSpec.hypercube(4), 3, node_budget=10))
     assert res.status == "budget"
     assert res.exact_m is None
+
+
+def test_naive_layers_honour_the_node_budget():
+    spec = GridSpec.hypercube(4)
+    for budget in (0, 1, 10, 100):
+        res = exact_min(SearchConfig(spec, 3, node_budget=budget, symmetry=False, seed_lower=1))
+        assert res.status == "budget" and res.exact_m is None
+        assert res.nodes_explored == budget + 1
+    with pytest.raises(SearchBudgetExceeded):
+        exhaust_layer(spec, 3, 5, node_budget=100, symmetry=False)
+    # a budget the whole search fits in changes nothing
+    free = exact_min(SearchConfig(spec, 3, symmetry=False, seed_lower=1))
+    roomy = exact_min(SearchConfig(spec, 3, symmetry=False, seed_lower=1,
+                                   node_budget=free.nodes_explored))
+    assert roomy == free and free.status == "exact"
 
 
 def test_search_result_json():
