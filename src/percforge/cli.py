@@ -106,10 +106,6 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _rational_string(value) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -311,7 +307,7 @@ def cmd_search(args) -> tuple[int, dict]:
         spec,
         args.r,
         size_budget=args.size_budget,
-        node_budget=int(args.node_budget) if args.node_budget else None,
+        node_budget=int(args.node_budget) if args.node_budget is not None else None,
         symmetry=not args.no_symmetry,
         seed_lower=args.seed_lower,
     )

@@ -49,8 +49,7 @@ class ExactBound:
         return -((-self.value.numerator) // self.value.denominator)
 
     def rational_string(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(self.value)
 
 
 def grid_edge_count(dims: tuple[int, ...]) -> int:

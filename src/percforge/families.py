@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
-from .grid import EdgeId, GridSpec, _json_field, _json_int, _json_list, parse_grid
+from .grid import GridSpec, _json_field, _json_int, _json_list, parse_grid
 from .linalg import (
     F0,
     F1,
@@ -102,14 +102,11 @@ class EdgeVectorFamily:
 
     def edge_at(self, v: int, coord: int) -> int:
         """Global index of e(v, coord) for a 0-based subspace coordinate."""
-        spec = self.spec
-        if self.label_mode == "direction":
-            axis = coord + 1
-            lower = v & ~(1 << coord)
-            return spec.edge_index(EdgeId(lower, axis))
-        idx = spec.label_to_edge_index(v, coord + 1)
+        # hypercube edges are all odd: direction c carries label 2c + 1
+        label = 2 * coord + 1 if self.label_mode == "direction" else coord + 1
+        idx = self.spec.label_to_edge_index(v, label)
         if idx < 0:
-            raise FamilyError(f"no edge with label {coord + 1} at vertex {v}")
+            raise FamilyError(f"no edge with label {label} at vertex {v}")
         return idx
 
 
@@ -131,16 +128,12 @@ class RankCertificate:
             "ambient": fam.subspace.ambient,
             "subspace_basis": [[str(x) for x in row] for row in fam.subspace.basis],
             "target_dim": fam.target_dim,
-            "vectors": [[_frac_str(x) for x in vec] for vec in fam.vectors],
+            "vectors": [[str(x) for x in vec] for vec in fam.vectors],
             "rank": self.rank,
             "pivot_edges": list(self.pivot_edges),
             "wsat_lower": self.wsat_lower,
             "m_lower": self.m_lower,
         }
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _parse_vector(entries, length: int, parsed: dict[str, Fraction]) -> Vector:
@@ -262,19 +255,20 @@ def _cube_family(spec: GridSpec, r: int, space: SupportSubspace) -> list[Vector]
     w1 = wsat_hypercube(d - 1, r - 1)
     assert w == w0 + w1
 
-    off = 1 << (d - 1)
     vectors: list[Vector | None] = [None] * ne
-    for k, (v, axis) in enumerate(sub.edge_list):
-        vectors[spec.edge_index(EdgeId(v, axis))] = f0[k] + (F0,) * w1
-        vectors[spec.edge_index(EdgeId(v + off, axis))] = f0[k] + f1[k]
+    pad = (F0,) * w1
+    for k, e in enumerate(spec.slab_edge_indices(d, 0, 1)):
+        vectors[e] = f0[k] + pad
+    for k, e in enumerate(spec.slab_edge_indices(d, 1, 1)):
+        vectors[e] = f0[k] + f1[k]
 
     # cross edges kill the z-relation at their bottom endpoint
     target = _lex_first_superset(range(d), d - 1, r + 1)
     z = find_support_vector(space, target)
-    terms = [(c, -z[c] / z[d - 1]) for c in range(d - 1) if z[c]]
-    for v in range(off):
-        star = [(spec.edge_index(EdgeId(v & ~(1 << c), c + 1)), x) for c, x in terms]
-        vectors[spec.edge_index(EdgeId(v, d))] = _combination(vectors, w, star)
+    terms = [(2 * c + 1, -z[c] / z[d - 1]) for c in range(d - 1) if z[c]]
+    for v in range(1 << (d - 1)):  # the bottom copy: direction d goes up from v
+        star = [(spec.label_to_edge_index(v, label), x) for label, x in terms]
+        vectors[spec.label_to_edge_index(v, 2 * d - 1)] = _combination(vectors, w, star)
     assert all(vec is not None for vec in vectors)
     return vectors  # type: ignore[return-value]
 
@@ -348,18 +342,17 @@ def _combine_layer(
     assert w == w_recurrence(parent.dims, r)
 
     emb1 = parent.slab_indices(p, 0, m - 1)
-    embs = parent.slab_indices(p, m - 1, 1)
 
     vectors: list[Vector | None] = [None] * parent.num_edges
     g1_pad = (F0,) * w2 + pad
-    for k, (v, axis) in enumerate(g1.edge_list):
-        vectors[parent.edge_index(EdgeId(emb1[v], axis))] = g1_vecs[k] + g1_pad
+    for k, e in enumerate(parent.slab_edge_indices(p, 0, m - 1)):
+        vectors[e] = g1_vecs[k] + g1_pad
 
     tau0 = tau_label - 1
     cache: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
     for v in top:
         pv = emb1[v]
-        idx = parent.edge_index(EdgeId(pv, p))
+        idx = parent.label_to_edge_index(pv, tau_label)  # the cross edge up from pv
         if v in y_pos:
             vectors[idx] = _unit(w, w1 + w2 + y_pos[v])
             continue
@@ -372,11 +365,9 @@ def _combine_layer(
         star = [(parent.label_to_edge_index(pv, c + 1), x) for c, x in terms]
         vectors[idx] = _combination(vectors, w, star)
 
-    for k, (u, axis) in enumerate(side.edge_list):
-        if axis >= p:
-            axis += 1
-        shadow = g1_vecs[g1.edge_index(EdgeId(top[u], axis))]
-        vectors[parent.edge_index(EdgeId(embs[u], axis))] = shadow + side_vecs[k] + pad
+    shadows = g1.slab_edge_indices(p, m - 2, 1)  # the side edges' copies in g1's top slice
+    for k, e in enumerate(parent.slab_edge_indices(p, m - 1, 1)):
+        vectors[e] = g1_vecs[shadows[k]] + side_vecs[k] + pad
     assert all(vec is not None for vec in vectors)
     return vectors  # type: ignore[return-value]
 

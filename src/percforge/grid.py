@@ -45,6 +45,16 @@ class EdgeLabel(NamedTuple):
     label: int
 
 
+def _stride_embedding(base: int, stride: int, side: int, offset: int, length: int, total: int):
+    """Positions, in a row-major grid of `total` points numbered from `base`
+    (side lengths >= 1), of the sub-grid that keeps `length` of the `side`
+    values of one axis from `offset` on; the axes below it span `stride`
+    points.  With inner = stride * length and outer = stride * side, point u
+    maps to base + u % inner + stride * offset + (u // inner) * outer."""
+    starts = range(base + stride * offset, base + total, stride * side)
+    return [hi + lo for hi in starts for lo in range(stride * length)]
+
+
 def _tile_mask(block: int, period: int, total: int) -> int:
     """Tile a bit pattern of width `period` across `total` bit positions."""
     out = block
@@ -137,28 +147,45 @@ class GridSpec:
     def vertices(self) -> range:
         return range(self.num_vertices)
 
+    def _check_slab(self, axis: int, offset: int, length: int) -> int:
+        a = self.dims[axis - 1]
+        if not (offset >= 0 and length >= 1 and offset + length <= a):
+            raise GridError(f"coordinates {offset + 1}..{offset + length} out of range 1..{a}")
+        return a
+
     def slab_indices(self, axis: int, offset: int, length: int) -> list[int]:
         """Indices of the vertices whose coordinate on the 1-based `axis` is
         one of offset+1..offset+length, in increasing order.
 
         Entry u is the image of vertex u of the sub-grid with that axis cut
         to `length` values (a slab), or, for length 1, of the sub-grid with
-        the axis removed (a slice, which has the same vertex order).  With
-        stride = strides[axis - 1], inner = stride * length and
-        outer = stride * dims[axis - 1], vertex u maps to
-        u % inner + stride * offset + (u // inner) * outer.
+        the axis removed (a slice, which has the same vertex order).
         """
-        a = self.dims[axis - 1]
-        if not (offset >= 0 and length >= 1 and offset + length <= a):
-            raise GridError(f"coordinates {offset + 1}..{offset + length} out of range 1..{a}")
-        stride = self.strides[axis - 1]
-        inner = stride * length
-        outer = stride * a
-        return [
-            hi + lo
-            for hi in range(stride * offset, self.num_vertices, outer)
-            for lo in range(inner)
-        ]
+        a = self._check_slab(axis, offset, length)
+        return _stride_embedding(0, self.strides[axis - 1], a, offset, length, self.num_vertices)
+
+    def slab_edge_indices(self, axis: int, offset: int, length: int) -> list[int]:
+        """Global indices of the edges of the slab (or, for length 1, the
+        slice) that `slab_indices` lists, in the sub-grid's own edge order:
+        entry k is the image of the sub-grid's edge k."""
+        self._check_slab(axis, offset, length)
+        out: list[int] = []
+        for q in range(1, self.d + 1):
+            # a slab of `length` values has length - 1 edges on its own axis
+            out += self._edge_slab(q, axis, offset, length - (q == axis))
+        return out
+
+    def _edge_slab(self, q: int, axis: int, offset: int, length: int) -> list[int]:
+        """Global indices of the axis-q edges whose lower endpoint has its
+        coordinate on `axis` in offset+1..offset+length, in order.  The
+        axis-q edges, indexed by lower endpoint, form the grid whose side on
+        axis q is one shorter; `_edge_slab(axis, axis, offset, 1)` lists the
+        edges between slices offset and offset + 1 in slice vertex order."""
+        sides = list(self.dims)
+        sides[q - 1] -= 1
+        base, total = self._axis_edge_offsets[q - 1], self._axis_edge_counts[q - 1]
+        stride = prod(sides[: axis - 1])
+        return _stride_embedding(base, stride, sides[axis - 1], offset, length, total)
 
     # -- adjacency and labels ----------------------------------------------
 
@@ -263,15 +290,9 @@ class GridSpec:
         edge_index."""
         return tuple(self.edges())
 
-    @cached_property
-    def _edge_index_map(self) -> dict[EdgeId, int]:
-        return {e: k for k, e in enumerate(self.edge_list)}
-
     def edge_index(self, e: EdgeId) -> int:
-        idx = self._edge_index_map.get(e)
-        if idx is None:
-            raise GridError(f"{e} is not a canonical edge of {self}")
-        return idx
+        self.endpoints(e)  # GridError unless e is a canonical edge
+        return self._edge_rank(e)
 
     def edge_from_index(self, k: int) -> EdgeId:
         if not 0 <= k < self.num_edges:
@@ -281,14 +302,15 @@ class GridSpec:
     @cached_property
     def _label_table(self) -> list[int]:
         """Flat lookup: vertex * 2d + (label - 1) -> edge index, or -1."""
-        table = [-1] * (self.num_vertices * 2 * self.d)
         width = 2 * self.d
-        for k, (v, axis) in enumerate(self.edge_list):
-            s = self.strides[axis - 1]
-            low = self.coord(v, axis)
-            label = 2 * axis - 1 if low % 2 == 1 else 2 * axis
-            table[v * width + label - 1] = k
-            table[(v + s) * width + label - 1] = k
+        table = [-1] * (self.num_vertices * width)
+        for axis, (a, s) in enumerate(zip(self.dims, self.strides), start=1):
+            for c in range(a - 1):  # the edges from coordinate c + 1 to c + 2
+                col = 2 * axis - 2 if c % 2 == 0 else 2 * axis - 1  # label - 1
+                edges = self._edge_slab(axis, axis, c, 1)
+                for v, k in zip(self.slab_indices(axis, c, 1), edges):
+                    table[v * width + col] = k
+                    table[(v + s) * width + col] = k
         return table
 
     def label_to_edge_index(self, v: int, label: int) -> int:

@@ -162,17 +162,13 @@ class SupportSubspace:
     def codim(self) -> int:
         return self.ambient - self.dim
 
-    def certify(self, max_checks: int | None = None) -> int:
+    def certify(self) -> int:
         """Exhaustively verify the support property via column deletions;
         returns the number of rank checks performed."""
         k, l = self.ambient, self.codim
         if rank_profile_of_rows(self.basis, k)[0] != self.dim:
             raise CertificationError("basis rows are dependent")
         total = comb(k, l)
-        if max_checks is not None and total > max_checks:
-            raise CertificationError(
-                f"certification needs {total} checks, above the {max_checks} limit"
-            )
         for drop in combinations(range(k), l):
             keep = [c for c in range(k) if c not in drop]
             sub = [[row[c] for c in keep] for row in self.basis]

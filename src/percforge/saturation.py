@@ -26,7 +26,6 @@ from typing import Iterable, Sequence, Union
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
 from .grid import (
-    EdgeId,
     GridError,
     GridSpec,
     VertexSet,
@@ -71,8 +70,9 @@ class SaturationCertificate:
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "SaturationCertificate":
-        """Load a document written by `to_json_doc`; wrong types raise
-        ValueError with a one-line reason.  Nothing is verified here."""
+        """Load a document written by `to_json_doc`; wrong types and a star
+        size below 1 raise ValueError with a one-line reason.  Nothing is
+        verified here."""
         if not isinstance(doc, dict) or doc.get("kind") != "saturation-certificate":
             raise ValueError("not a saturation certificate document")
         spec = parse_grid(_json_field(doc, "spec"))
@@ -91,6 +91,8 @@ class SaturationCertificate:
         base_edges = _json_list(_json_field(doc, "base_edges"), "base_edges")
         base = tuple(_json_int(e, "base edge") for e in base_edges)
         star_size = _json_int(_json_field(doc, "star_size"), "star_size")
+        if star_size < 1:
+            raise ValueError(f"star_size must be >= 1, got {star_size}")
         return cls(spec, star_size, base, tuple(additions))
 
 
@@ -341,19 +343,20 @@ def derived_initial_set(spec: GridSpec, edges: Iterable[int], r: int) -> VertexS
 # ---------------------------------------------------------------------------
 # minimum constructions
 #
-# Internal representation during recursion: plain EdgeId / vertex-index lists
-# over the local GridSpec, converted to global edge indices only at the top.
+# Internal representation during recursion: the local grid's global edge
+# indices, for the base and for each (edge, center, labels) addition; a
+# parent maps a part's edges through `slab_edge_indices` and its centers
+# through `slab_indices`.
 
-_Parts = tuple[list[EdgeId], list[tuple[EdgeId, int, tuple[int, ...]]]]
+_Parts = tuple[list[int], list[tuple[int, int, tuple[int, ...]]]]
 
 
 def _all_edge_parts(spec: GridSpec) -> _Parts:
-    return list(spec.edges_in_order()), []
+    return list(range(spec.num_edges)), []
 
 
 def _edgeless_parts(spec: GridSpec) -> _Parts:
-    additions = [(e, e.vertex, ()) for e in spec.edges_in_order()]
-    return [], additions
+    return [], [(k, e.vertex, ()) for k, e in enumerate(spec.edge_list)]
 
 
 def _cube_parts(d: int, r: int) -> _Parts:
@@ -367,19 +370,15 @@ def _cube_parts(d: int, r: int) -> _Parts:
     off = 1 << (d - 1)
     base0, adds0 = _cube_parts(d - 1, r)
     base1, adds1 = _cube_parts(d - 1, r - 1)
-    base = [EdgeId(e.vertex, e.axis) for e in base0]
-    base += [EdgeId(e.vertex + off, e.axis) for e in base1]
-    additions: list[tuple[EdgeId, int, tuple[int, ...]]] = []
-    for e, center, labels in adds0:
-        additions.append((e, center, labels))
+    bottom = spec.slab_edge_indices(d, 0, 1)
+    top = spec.slab_edge_indices(d, 1, 1)
+    base = [bottom[e] for e in base0] + [top[e] for e in base1]
+    additions = [(bottom[e], center, labels) for e, center, labels in adds0]
     first_r = tuple(2 * i - 1 for i in range(1, r + 1))
-    for v in range(off):
-        additions.append((EdgeId(v, d), v, first_r))
+    cross = spec._edge_slab(d, d, 0, 1)
+    additions += [(cross[v], v, first_r) for v in range(off)]
     top_label = 2 * d - 1
-    for e, center, labels in adds1:
-        additions.append(
-            (EdgeId(e.vertex + off, e.axis), center + off, labels + (top_label,))
-        )
+    additions += [(top[e], c + off, labels + (top_label,)) for e, c, labels in adds1]
     return base, additions
 
 
@@ -411,30 +410,22 @@ def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
 
     # the a_p = 2 slab keeps its coordinates; only strides differ
     emb_bottom = spec.slab_indices(p, 0, 2)
-    base = [EdgeId(emb_bottom[e.vertex], e.axis) for e in bottom_base]
-    additions: list[tuple[EdgeId, int, tuple[int, ...]]] = [
-        (EdgeId(emb_bottom[e.vertex], e.axis), emb_bottom[c], labels)
-        for e, c, labels in bottom_adds
-    ]
-
-    def remap_axis(q: int) -> int:
-        return q if q < p else q + 1
+    edges_bottom = spec.slab_edge_indices(p, 0, 2)
+    base = [edges_bottom[e] for e in bottom_base]
+    additions = [(edges_bottom[e], emb_bottom[c], labels) for e, c, labels in bottom_adds]
 
     def remap_label(label: int) -> int:
-        q = remap_axis((label + 1) // 2)
-        return 2 * q - 1 if label % 2 == 1 else 2 * q
+        # side axis q is axis q of the grid below p and axis q + 1 from p on
+        return label if label < 2 * p - 1 else label + 2
 
     emb_side1 = spec.slab_indices(p, 0, 1)
-    side_order = list(side_spec.vertices())
     side_labels = [
-        tuple(remap_label(x) for x in side_spec.incident_labels(v)) for v in side_order
+        tuple(remap_label(x) for x in side_spec.incident_labels(v))
+        for v in side_spec.vertices()
     ]
     side_adds_mapped = [
-        (emb_side1[e.vertex], remap_axis(e.axis), emb_side1[c],
-         tuple(remap_label(x) for x in labels))
-        for e, c, labels in side_adds
+        (e, emb_side1[c], tuple(remap_label(x) for x in labels)) for e, c, labels in side_adds
     ]
-    side_base_mapped = [(emb_side1[e.vertex], remap_axis(e.axis)) for e in side_base]
 
     # Y and the stage-2 witness labels depend only on the parity of the
     # top slice's inner boundary label, not on the layer itself
@@ -451,29 +442,23 @@ def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
         top_off = (m - 2) * vstride  # slice with axis-p coordinate m - 1
         new_off = (m - 1) * vstride  # slice with axis-p coordinate m
         witnesses = witness_by_parity[taubar]
-        for i, v in enumerate(side_order):
-            if in_y[i]:
-                base.append(EdgeId(emb_side1[v] + top_off, p))
-        for edge_v, axis in side_base_mapped:
-            base.append(EdgeId(edge_v + new_off, axis))
-        for i, v in enumerate(side_order):
-            if not in_y[i]:
-                tv = emb_side1[v] + top_off
-                additions.append((EdgeId(tv, p), tv, witnesses[i]))
-        for edge_v, axis, center, labels in side_adds_mapped:
-            additions.append(
-                (EdgeId(edge_v + new_off, axis), center + new_off, labels + (tau,))
-            )
+        cross = spec._edge_slab(p, p, m - 2, 1)  # from the top slice to the new one
+        new_edges = spec.slab_edge_indices(p, m - 1, 1)
+        base += [e for e, y in zip(cross, in_y) if y]
+        base += [new_edges[e] for e in side_base]
+        additions += [
+            (e, emb_side1[i] + top_off, witnesses[i]) for i, e in enumerate(cross) if not in_y[i]
+        ]
+        additions += [
+            (new_edges[e], c + new_off, labels + (tau,)) for e, c, labels in side_adds_mapped
+        ]
     return base, additions
 
 
 def _parts_to_certificate(spec: GridSpec, parts: _Parts, star_size: int) -> SaturationCertificate:
     base, adds = parts
-    base_idx = tuple(sorted(spec.edge_index(e) for e in base))
-    additions = tuple(
-        StarWitness(spec.edge_index(e), center, labels) for e, center, labels in adds
-    )
-    return SaturationCertificate(spec, star_size, base_idx, additions)
+    additions = tuple(StarWitness(e, center, labels) for e, center, labels in adds)
+    return SaturationCertificate(spec, star_size, tuple(sorted(base)), additions)
 
 
 def build_wsat_hypercube(d: int, r: int) -> SaturationCertificate:

@@ -65,7 +65,6 @@ class SearchConfig:
     node_budget: int | None = None
     symmetry: bool = True
     seed_lower: int | None = None
-    seed_upper: int | None = None
 
 
 @dataclass(frozen=True)
@@ -158,22 +157,25 @@ def canonical_form(spec: GridSpec, vset: VertexSet) -> VertexSet:
     under the full automorphism group; idempotent."""
     if vset.spec != spec:
         raise ValueError("set belongs to a different grid")
+    return VertexSet.from_indices(spec, _least_image(grid_automorphisms(spec), vset.indices()))
+
+
+def _least_image(group: list[list[int]], indices: list[int]) -> tuple[int, ...]:
+    """The lexicographically least sorted image of `indices` under `group`,
+    one permutation at a time."""
     best: tuple[int, ...] | None = None
-    indices = vset.indices()
-    for perm in grid_automorphisms(spec):
+    for perm in group:
         image = tuple(sorted(perm[v] for v in indices))
         if best is None or image < best:
             best = image
-    return VertexSet.from_indices(spec, best or ())
+    return best or ()
 
 
 def count_canonical_subsets(spec: GridSpec, k: int) -> int:
     """Number of orbits of k-subsets, by direct canonicalization (tiny
     grids only; used for audits and tests)."""
-    seen = set()
-    for combo in combinations(spec.vertices(), k):
-        seen.add(tuple(canonical_form(spec, VertexSet.from_indices(spec, combo)).indices()))
-    return len(seen)
+    group = grid_automorphisms(spec)
+    return len({_least_image(group, list(combo)) for combo in combinations(spec.vertices(), k)})
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ def exact_min(config: SearchConfig) -> SearchResult:
         seed = max(1, config.seed_lower)
         basis = "caller"
 
-    size_cap = min(config.size_budget or n, config.seed_upper or n, n)
+    size_cap = min(config.size_budget or n, n)
     layers = _CanonicalSearch if config.symmetry else _NaiveSearch
     search = layers(spec, r, config.node_budget)
     last_exhausted: ExhaustionRecord | None = None

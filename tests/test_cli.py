@@ -114,10 +114,14 @@ def _star_size_null(doc):
     doc["star_size"] = None
 
 
+def _star_size_zero(doc):
+    doc["star_size"] = 0
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_labels_not_a_list, _top_level_list, _base_edges_not_a_list, _additions_not_a_list,
-     _addition_not_an_object, _edge_not_an_integer, _star_size_null],
+     _addition_not_an_object, _edge_not_an_integer, _star_size_null, _star_size_zero],
 )
 def test_wsat_verify_rejects_malformed_certificate(tmp_path, capsys, corrupt):
     out = tmp_path / "cert.json"
@@ -265,6 +269,12 @@ def test_naive_search_stops_at_the_node_budget_inside_a_layer(capsys):
     assert code == 3
     assert doc["status"] == "budget" and doc["exact_m"] is None
     assert doc["nodes_explored"] <= 1001
+
+
+def test_node_budget_zero_is_a_budget(capsys):
+    code, doc, _ = run_json(capsys, "search", "--grid", "Q4", "--r", "3", "--node-budget", "0")
+    assert code == 3
+    assert doc["status"] == "budget" and doc["exact_m"] is None
 
 
 def test_simulate(capsys):

@@ -6,7 +6,6 @@ from percforge.counts import w_recurrence, wsat_hypercube
 from percforge.families import (
     EdgeVectorFamily,
     FamilyError,
-    _frac_str,
     assemble_lower_bound,
     build_edge_vectors_grid,
     build_edge_vectors_hypercube,
@@ -218,7 +217,7 @@ def test_loader_parses_entries_like_fraction():
     def entry():
         if rng.random() < 0.3:
             return rng.choice(odd)
-        return _frac_str(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)))
+        return str(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)))
 
     doc["vectors"] = [[entry() for _ in vec] for vec in doc["vectors"]]
     for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):

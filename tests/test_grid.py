@@ -247,3 +247,61 @@ def test_slab_indices_match_coordinate_round_trip():
                         assert spec.slab_indices(axis, offset, 1) == expect
     with pytest.raises(GridError):
         GridSpec((3, 3)).slab_indices(1, 2, 2)
+
+
+def test_slab_edge_indices_match_coordinate_round_trip():
+    # every sub-grid edge, moved to the parent by coordinates, sits at the
+    # listed position of the parent's edge list; a slice has no edges on
+    # its own axis and numbers the others as the dropped-axis grid does
+    for dims in SMALL_GRIDS + [(4, 3, 5), (2, 5, 3, 2)]:
+        spec = GridSpec(dims)
+        position = {e: k for k, e in enumerate(spec.edge_list)}
+
+        def parent_edge(coords, axis):
+            return position[EdgeId(spec.index_of(coords), axis)]
+
+        for axis in range(1, spec.d + 1):
+            a = dims[axis - 1]
+            for length in range(1, a + 1):
+                for offset in range(a - length + 1):
+                    if length > 1:
+                        sub = GridSpec(dims[: axis - 1] + (length,) + dims[axis:])
+                        expect = []
+                        for u, q in sub.edge_list:
+                            coords = list(sub.coords_of(u))
+                            coords[axis - 1] += offset
+                            expect.append(parent_edge(coords, q))
+                    elif spec.d > 1:
+                        sub = GridSpec(dims[: axis - 1] + dims[axis:])
+                        expect = []
+                        for u, q in sub.edge_list:
+                            coords = list(sub.coords_of(u))
+                            coords.insert(axis - 1, offset + 1)
+                            expect.append(parent_edge(coords, q if q < axis else q + 1))
+                    else:
+                        expect = []
+                    assert spec.slab_edge_indices(axis, offset, length) == expect
+            # the edges between slices offset and offset + 1, in slice order
+            for offset in range(a - 1):
+                lows = spec.slab_indices(axis, offset, 1)
+                expect = [parent_edge(spec.coords_of(v), axis) for v in lows]
+                assert spec._edge_slab(axis, axis, offset, 1) == expect
+    with pytest.raises(GridError):
+        GridSpec((3, 3)).slab_edge_indices(2, 1, 3)
+
+
+def test_edge_index_rejects_non_edges():
+    spec = GridSpec((3, 2, 4))
+    top = spec.index_of((3, 1, 1))  # top coordinate of axis 1
+    for bad in [
+        EdgeId(-1, 1),
+        EdgeId(spec.num_vertices, 1),
+        EdgeId(0, 0),
+        EdgeId(0, spec.d + 1),
+        EdgeId(top, 1),
+        EdgeId(spec.index_of((1, 2, 1)), 2),
+        EdgeId(spec.index_of((2, 1, 4)), 3),
+    ]:
+        with pytest.raises(GridError):
+            spec.edge_index(bad)
+    assert spec.edge_index(EdgeId(top, 2)) == spec.edge_list.index(EdgeId(top, 2))
