@@ -163,10 +163,9 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
     s = cert.star_size
     if s < 1:
         return CertCheck(False, None, "star size must be >= 1")
-    # read the grid's tables once: an edge's endpoints are its lower vertex
-    # plus the axis stride, and e(v, j) is label_table[v * width + j - 1]
-    edge_list = spec.edge_list
-    strides = spec.strides
+    # read the grid's table once: e(v, j) is label_table[v * width + j - 1],
+    # so a vertex lies on an edge exactly when its row of the table names it
+    n = spec.num_vertices
     label_table = spec._label_table
     width = 2 * spec.d
     present = bytearray(ne)
@@ -181,9 +180,9 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
             return CertCheck(False, i, f"edge {add.edge} out of range")
         if present[add.edge]:
             return CertCheck(False, i, f"edge {add.edge} already present")
-        u, axis = edge_list[add.edge]
         center = add.center
-        if center != u and center != u + strides[axis - 1]:
+        # the range check first: a negative center would wrap in the slice
+        if not (0 <= center < n and add.edge in label_table[center * width : (center + 1) * width]):
             return CertCheck(False, i, f"center {center} not on edge {add.edge}")
         if len(add.labels) != s - 1 or len(set(add.labels)) != len(add.labels):
             return CertCheck(False, i, f"witness needs {s - 1} distinct labels")

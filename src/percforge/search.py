@@ -32,9 +32,15 @@ orbits from the sweep.  Without it every orbit of k-subsets is visited,
 so an exhaustion record's canonical count is the Burnside count of
 k-subset orbits and can be checked against it.
 
-All bulk work runs on numpy uint64 bitmask arrays; canonical forms are
-computed with per-group byte-gather tables, which keeps the whole layer
-loop vectorized.
+All bulk work runs on numpy uint64 bitmask arrays, which keeps the whole
+layer loop vectorized.  A canonical form is computed without trying every
+group element.  Let m*(S) be the least orbit minimum among the members of
+S.  The lex-least image of S starts with m*, so the element g producing it
+maps some member v in the orbit of m* to m*.  Then g = s c_v, where c_v is
+one fixed element taking v to its orbit minimum and s fixes m*.  Only the
+pairs (v, s) are tried, with byte-gather tables for the n elements c_v and
+for the stabilizers of the orbit minima (see `_CanonicalTables`).  On Q5 a
+k-set is thus tried under k x 120 elements instead of 3,840.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ from .witnesses import PercolatingWitness
 
 _GROUP_LIMIT = 50_000
 _EXACT_VERTEX_LIMIT = 64
+# bits set in byte b, one row per byte position of a uint64
+_POPCOUNT = np.tile(np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8), (8, 1))
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -204,9 +212,25 @@ class _MaskKernel:
 
 
 class _CanonicalTables:
-    """Byte-gather tables computing, for every group element at once, the
-    image of a bitmask; canonical form = image with the lex-least sorted
-    index tuple, realized as the max over bit-reversed masks."""
+    """Canonical forms of bitmasks by byte-gather tables, trying only the
+    group elements that can produce the lex-least image.
+
+    The canonical form is the image with the lex-least sorted index tuple,
+    realized as the max over bit-reversed images (of two equal-size sets,
+    the lex-lesser holds the least element of their difference, which is
+    the higher bit after reversal).  Let o(v) be the least vertex of v's
+    orbit and m*(S) the least o(v) over the members v of S.
+
+    * Every image g(S) has its least element >= m*(S), and some image
+      reaches it, so the lex-least image starts with m*.
+    * An element g producing it maps some member v with o(v) = m* to m*.
+      Fix one c_v with c_v(v) = o(v) for every vertex v; then
+      s = g c_v^-1 fixes m*, so g = s c_v with s in the stabilizer of m*.
+
+    So the canonical form is the best image s(c_v(S)) over the pairs (v, s)
+    with v in S, o(v) = m*, and s in Stab(m*).  Tables are kept for the n
+    coset representatives c_v and for the stabilizers of the orbit minima
+    only, so their size follows the stabilizer, not the whole group."""
 
     def __init__(self, spec: GridSpec):
         n = spec.num_vertices
@@ -215,8 +239,38 @@ class _CanonicalTables:
         perms = _automorphism_array(spec)
         self.group_order = len(perms)
         rev = np.arange(n - 1, -1, -1)
-        self.tables = self._build(rev[perms[:, rev]])  # acting on bit-reversed masks
-        self.rev_tables = self._build(rev[None, :])
+        least = perms.min(axis=0)  # o(v)
+        # least_table[bp, b]: the least o(v) over the bits v of byte b at
+        # byte position bp, or n when b is 0 (so n stands for the empty set)
+        padded = np.full(8 * self.nbytes, n)
+        padded[:n] = least
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        self.least_table = np.where(bits, padded.reshape(-1, 1, 8), n).min(axis=2).astype(np.uint8)
+        self.rev_table = self._build(rev[None, :])[0]
+        # c_v followed by bit reversal (a mask in, a bit-reversed image out);
+        # c_v's table for byte position bp is coset_table[bp, 256 v : 256 (v + 1)]
+        reps = perms[np.argmax(perms == least, axis=0)]
+        self.coset_table = self._columns(self._build(rev[reps]))
+        # classes: the orbit minima, most non-identity stabilizer elements first
+        moved = perms[(perms != np.arange(n)).any(axis=1)]
+        stabs = {m: moved[moved[:, m] == m] for m in set(least.tolist())}
+        minima = sorted(stabs, key=lambda m: (-len(stabs[m]), m))
+        # indexed by an orbit minimum, or by n for the empty set
+        self.orbit_masks = np.zeros(n + 1, dtype=np.uint64)
+        np.bitwise_or.at(self.orbit_masks, least, np.uint64(1) << np.arange(n, dtype=np.uint64))
+        self.rank = np.full(n + 1, len(minima) - 1, dtype=np.int16)  # the class's rank
+        self.rank[minima] = np.arange(len(minima))
+        # step t applies the t-th stabilizer element of every class that has
+        # more than t; those are the first class_cut[t] classes, so with
+        # pairs sorted by class each step acts on a prefix of them
+        steps = len(stabs[minima[0]])
+        self.class_cut = [sum(len(stabs[m]) > t for m in minima) for t in range(steps)]
+        self.sort_classes = any(cut < len(minima) for cut in self.class_cut)
+        # acting on bit-reversed masks; rows past a class's stabilizer stay 0
+        stab_table = np.zeros((len(minima), steps, self.nbytes, 256), dtype=np.uint64)
+        for c, m in enumerate(minima):
+            stab_table[c, : len(stabs[m])] = self._build(rev[stabs[m][:, rev]])
+        self.stab_tables = [self._columns(t) for t in stab_table.transpose(1, 0, 2, 3)]
 
     def _build(self, perms: np.ndarray) -> np.ndarray:
         """tables[g, bp, b] = image under perms[g] of byte value b placed at
@@ -229,28 +283,83 @@ class _CanonicalTables:
         tables = np.zeros((g, self.nbytes, 256), dtype=np.uint64)
         for bit in range(8):
             lo = 1 << bit
-            # in place: a temporary would be half the table (16 MB on Q5)
+            # in place: a temporary would be half the table
             out = tables[:, :, lo : 2 * lo]
             np.bitwise_or(tables[:, :, :lo], single[:, :, bit : bit + 1], out=out)
         return tables
 
-    def _apply(self, tables_row: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        acc = tables_row[0][((masks) & np.uint64(0xFF)).astype(np.intp)]
-        for bp in range(1, self.nbytes):
-            chunk = ((masks >> np.uint64(8 * bp)) & np.uint64(0xFF)).astype(np.intp)
-            acc = acc | tables_row[bp][chunk]
+    @staticmethod
+    def _columns(tables: np.ndarray) -> np.ndarray:
+        """(k, nbytes, 256) tables side by side as (nbytes, 256 k): entry
+        256 i + b of row bp is tables[i, bp, b]."""
+        k, nbytes, _ = tables.shape
+        return np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(nbytes, 256 * k)
+
+    def _bytes(self, masks: np.ndarray, offset: np.ndarray | None = None) -> list[np.ndarray]:
+        """Byte bp of every mask, for each byte position bp, plus `offset`
+        (256 times the table each mask is looked up in) when given."""
+        cols = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        if offset is None:
+            return [cols[:, bp] for bp in range(self.nbytes)]
+        return [cols[:, bp] + offset for bp in range(self.nbytes)]
+
+    @staticmethod
+    def _gather(table: np.ndarray, index: list[np.ndarray], op=np.bitwise_or) -> np.ndarray:
+        """op over byte positions bp of table[bp][index[bp]]."""
+        acc = table[0][index[0]]
+        for bp in range(1, len(index)):
+            op(acc, table[bp][index[bp]], out=acc)
         return acc
 
-    def canonicalize(self, masks: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
+    def canonicalize(self, masks: np.ndarray, pair_chunk: int = 1 << 18) -> np.ndarray:
+        """Canonical form of every mask.  A mask is paired with its members
+        in the orbit of m*; pairs are processed about `pair_chunk` at a
+        time.  The empty set gets one pair, whose every image is empty."""
+        least = self._gather(self.least_table, self._bytes(masks), np.minimum)  # m*
+        order = np.argsort(self.rank[least], kind="stable") if self.sort_classes else slice(None)
+        sets, least = masks[order], least[order]
+        hits = sets & self.orbit_masks[least]
+        counts = np.maximum(self._gather(_POPCOUNT, self._bytes(hits), np.add), 1).astype(np.intp)
+        parts = [slice(None)]
+        if counts.sum() > pair_chunk:
+            cuts = np.flatnonzero(np.diff(np.cumsum(counts) // pair_chunk)) + 1
+            parts = np.split(np.arange(len(sets)), cuts)
         out = np.empty_like(masks)
-        for lo in range(0, len(masks), chunk):
-            part = masks[lo : lo + chunk]
-            work = self._apply(self.rev_tables[0], part)
-            best = np.zeros_like(work)
-            for g in range(self.group_order):
-                np.maximum(best, self._apply(self.tables[g], work), out=best)
-            out[lo : lo + chunk] = self._apply(self.rev_tables[0], best)
+        canon = np.empty_like(masks)
+        for part in parts:
+            best = self._best_images(sets[part], hits[part], counts[part], least[part])
+            canon[part] = self._gather(self.rev_table, self._bytes(best))
+        out[order] = canon
         return out
+
+    def _best_images(
+        self, sets: np.ndarray, hits: np.ndarray, counts: np.ndarray, least: np.ndarray
+    ) -> np.ndarray:
+        """For each set, the max over its pairs (v, s) of the bit-reversed
+        s(c_v(set)): v runs over the `counts` bits of `hits` (vertex 0 for
+        the empty set), and s over the stabilizer of `least`, its m*."""
+        starts = np.cumsum(counts) - counts
+        members = np.zeros(counts.sum(), dtype=np.intp)
+        # pair j of set i sits at starts[i] + j: peel the lowest bit per round
+        at = starts
+        while len(hits):
+            keep = hits != 0
+            at, hits = at[keep], hits[keep]
+            low = hits & (~hits + np.uint64(1))
+            # a power of two converts to float64 exactly: read its exponent
+            members[at] = (low.astype(np.float64).view(np.int64) >> 52) - 1023
+            hits = hits ^ low
+            at = at + 1
+        best = self._gather(self.coset_table, self._bytes(np.repeat(sets, counts), members << 8))
+        if self.class_cut:
+            # the identity's image is `best` itself
+            pair_ranks = np.repeat(self.rank[least], counts)
+            stops = np.searchsorted(pair_ranks, self.class_cut)
+            index = self._bytes(best[: stops[0]], pair_ranks[: stops[0]].astype(np.intp) << 8)
+            for table, stop in zip(self.stab_tables, stops):
+                image = self._gather(table, [ix[:stop] for ix in index])
+                np.maximum(best[:stop], image, out=best[:stop])
+        return np.maximum.reduceat(best, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +383,16 @@ class _CanonicalSearch:
 
     def _children(self, parents: np.ndarray) -> np.ndarray:
         """Each parent extended by every vertex above its maximum; a parent
-        has no vertex at or above v exactly when its mask is below 1 << v."""
-        children = np.concatenate([parents[parents < bit] | bit for bit in self.bits])
-        self.nodes += len(children)
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        has no vertex at or above v exactly when its mask is below 1 << v.
+        Parents are sorted, so the children are counted against the node
+        budget before any is built."""
+        ends = np.searchsorted(parents, self.bits)
+        count = int(ends.sum())
+        if self.node_budget is not None and self.nodes + count > self.node_budget:
+            self.nodes = self.node_budget + 1
             raise SearchBudgetExceeded(f"node budget exceeded at {self.nodes}")
-        return children
+        self.nodes += count
+        return np.concatenate([parents[:end] | bit for end, bit in zip(ends.tolist(), self.bits)])
 
     def _grow(self) -> int | None:
         """Advance `level` by one vertex; returns a percolating child instead
@@ -377,7 +490,7 @@ def exact_min(config: SearchConfig) -> SearchResult:
         seed = max(1, config.seed_lower)
         basis = "caller"
 
-    size_cap = min(config.size_budget or n, n)
+    size_cap = n if config.size_budget is None else min(config.size_budget, n)
     layers = _CanonicalSearch if config.symmetry else _NaiveSearch
     search = layers(spec, r, config.node_budget)
     last_exhausted: ExhaustionRecord | None = None

@@ -277,6 +277,12 @@ def test_node_budget_zero_is_a_budget(capsys):
     assert doc["status"] == "budget" and doc["exact_m"] is None
 
 
+def test_size_budget_zero_is_a_budget(capsys):
+    code, doc, _ = run_json(capsys, "search", "--grid", "Q4", "--r", "3", "--size-budget", "0")
+    assert code == 3
+    assert doc["status"] == "budget" and doc["exact_m"] is None
+
+
 def test_simulate(capsys):
     code, doc, _ = run_json(
         capsys, "simulate", "--grid", "Q3", "--r", "3", "--a0", "1,2,4,7"

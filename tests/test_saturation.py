@@ -141,6 +141,10 @@ def _off_edge_center(c):
     return min(w for w in c.spec.vertices() if w not in (u, v))
 
 
+def _lower_end(c):
+    return c.spec.endpoints(c.spec.edge_from_index(c.additions[0].edge))[0]
+
+
 def _own_label(c):
     first = c.additions[0]
     return c.spec.edge_label(c.spec.edge_from_index(first.edge), first.center).label
@@ -164,6 +168,16 @@ _REPLAY_REJECTIONS = {
     "center not on edge": lambda c: (
         _replace_first(c, center=_off_edge_center(c)), 0,
         f"center {_off_edge_center(c)} not on edge {c.additions[0].edge}",
+    ),
+    "center below the grid": lambda c: (
+        _replace_first(c, center=-1), 0, f"center -1 not on edge {c.additions[0].edge}",
+    ),
+    "center wrapping onto the edge": lambda c: (
+        _replace_first(c, center=_lower_end(c) - 8), 0,
+        f"center {_lower_end(c) - 8} not on edge {c.additions[0].edge}",
+    ),
+    "center above the grid": lambda c: (
+        _replace_first(c, center=8), 0, f"center 8 not on edge {c.additions[0].edge}",
     ),
     "wrong label count": lambda c: (
         _replace_first(c, labels=c.additions[0].labels[:1]), 0, "witness needs 2 distinct labels",

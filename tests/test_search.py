@@ -121,17 +121,23 @@ def test_exhaustion_records_match_burnside():
 
 
 def test_tables_agree_with_reference_canonicalization():
-    for dims in [(2, 2, 2), (3, 3), (2, 2, 2, 2)]:
+    # vertex-transitive (Q4, Q5, 2x2x2), 64 vertices with the top bit in use
+    # (2x2x4x4), and grids with several orbits, where m* picks the orbit
+    grids = [(2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 4, 4), (2, 2, 2), (3, 3), (2, 3), (2, 3, 3),
+             (2, 2, 4), (3, 5)]
+    for dims in grids:
         spec = GridSpec(dims)
+        n = spec.num_vertices
         tables = _CanonicalTables(spec)
         rng = random.Random(9)
-        masks = np.array(
-            [rng.getrandbits(spec.num_vertices) for _ in range(200)], dtype=np.uint64
-        )
-        got = tables.canonicalize(masks)
-        for m, g in zip(masks.tolist(), got.tolist()):
-            expect = canonical_form(spec, VertexSet(spec, int(m)))
-            assert VertexSet(spec, int(g)) == expect
+        masks = [0, (1 << n) - 1, 1 << (n - 1)] + [1 << v for v in range(n)]
+        masks += [rng.getrandbits(n) for _ in range(40)]
+        sparse = [rng.sample(range(n), rng.randrange(2, min(n, 9))) for _ in range(40)]
+        masks += [sum(1 << v for v in vs) for vs in sparse]
+        got = tables.canonicalize(np.array(masks, dtype=np.uint64))
+        for m, g in zip(masks, got.tolist()):
+            expect = canonical_form(spec, VertexSet(spec, m))
+            assert VertexSet(spec, g) == expect, (dims, m)
 
 
 def test_mask_kernel_matches_int_kernel():
@@ -254,6 +260,20 @@ def test_naive_layers_honour_the_node_budget():
     free = exact_min(SearchConfig(spec, 3, symmetry=False, seed_lower=1))
     roomy = exact_min(SearchConfig(spec, 3, symmetry=False, seed_lower=1,
                                    node_budget=free.nodes_explored))
+    assert roomy == free and free.status == "exact"
+
+
+def test_canonical_layers_honour_the_node_budget():
+    spec = GridSpec.hypercube(4)
+    for budget in (0, 1, 10, 100):
+        res = exact_min(SearchConfig(spec, 3, node_budget=budget, seed_lower=1))
+        assert res.status == "budget" and res.exact_m is None
+        assert res.nodes_explored == budget + 1
+    with pytest.raises(SearchBudgetExceeded):
+        exhaust_layer(spec, 3, 5, node_budget=100)
+    # a budget the whole search fits in changes nothing
+    free = exact_min(SearchConfig(spec, 3, seed_lower=1))
+    roomy = exact_min(SearchConfig(spec, 3, seed_lower=1, node_budget=free.nodes_explored))
     assert roomy == free and free.status == "exact"
 
 
