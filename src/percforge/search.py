@@ -56,6 +56,8 @@ from .grid import GridSpec, VertexSet
 from .witnesses import PercolatingWitness
 
 _GROUP_LIMIT = 50_000
+# (mask, member) pairs canonicalized at a time
+_PAIR_CHUNK = 1 << 18
 _EXACT_VERTEX_LIMIT = 64
 # bits set in byte b, one row per byte position of a uint64
 _POPCOUNT = np.tile(np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8), (8, 1))
@@ -311,9 +313,9 @@ class _CanonicalTables:
             op(acc, table[bp][index[bp]], out=acc)
         return acc
 
-    def canonicalize(self, masks: np.ndarray, pair_chunk: int = 1 << 18) -> np.ndarray:
+    def canonicalize(self, masks: np.ndarray) -> np.ndarray:
         """Canonical form of every mask.  A mask is paired with its members
-        in the orbit of m*; pairs are processed about `pair_chunk` at a
+        in the orbit of m*; pairs are processed about `_PAIR_CHUNK` at a
         time.  The empty set gets one pair, whose every image is empty."""
         least = self._gather(self.least_table, self._bytes(masks), np.minimum)  # m*
         order = np.argsort(self.rank[least], kind="stable") if self.sort_classes else slice(None)
@@ -321,8 +323,8 @@ class _CanonicalTables:
         hits = sets & self.orbit_masks[least]
         counts = np.maximum(self._gather(_POPCOUNT, self._bytes(hits), np.add), 1).astype(np.intp)
         parts = [slice(None)]
-        if counts.sum() > pair_chunk:
-            cuts = np.flatnonzero(np.diff(np.cumsum(counts) // pair_chunk)) + 1
+        if counts.sum() > _PAIR_CHUNK:
+            cuts = np.flatnonzero(np.diff(np.cumsum(counts) // _PAIR_CHUNK)) + 1
             parts = np.split(np.arange(len(sets)), cuts)
         out = np.empty_like(masks)
         canon = np.empty_like(masks)

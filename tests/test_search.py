@@ -130,8 +130,8 @@ def test_tables_agree_with_reference_canonicalization():
         n = spec.num_vertices
         tables = _CanonicalTables(spec)
         rng = random.Random(9)
-        masks = [0, (1 << n) - 1, 1 << (n - 1)] + [1 << v for v in range(n)]
-        masks += [rng.getrandbits(n) for _ in range(40)]
+        masks = [rng.getrandbits(n) for _ in range(200)]
+        masks += [0, (1 << n) - 1, 1 << (n - 1)] + [1 << v for v in range(n)]
         sparse = [rng.sample(range(n), rng.randrange(2, min(n, 9))) for _ in range(40)]
         masks += [sum(1 << v for v in vs) for vs in sparse]
         got = tables.canonicalize(np.array(masks, dtype=np.uint64))
