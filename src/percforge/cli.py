@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -57,11 +58,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "table":
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _emit(doc: dict | str, fmt: str) -> None:
+    """Write a handler's document to stdout; a str is the document already
+    encoded as JSON."""
+    if isinstance(doc, str):
+        sys.stdout.write(doc)
+    elif fmt == "table":
         sys.stdout.write(render_table(doc))
     else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc))
 
 
 def render_table(doc: dict) -> str:
@@ -103,7 +112,19 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(_json_text(doc))
+
+
+def _node_budget(text: str | None) -> int | None:
+    """A node budget: a non-negative decimal integer."""
+    if text is None:
+        return None
+    try:
+        if re.fullmatch(r"[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise CliError(f"--node-budget expects a non-negative integer, got {text!r}", EXIT_PARSE)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -307,7 +328,7 @@ def cmd_search(args) -> tuple[int, dict]:
         spec,
         args.r,
         size_budget=args.size_budget,
-        node_budget=int(args.node_budget) if args.node_budget is not None else None,
+        node_budget=_node_budget(args.node_budget),
         symmetry=not args.no_symmetry,
         seed_lower=args.seed_lower,
     )
@@ -319,7 +340,7 @@ def cmd_search(args) -> tuple[int, dict]:
     return (EXIT_OK if result.status == "exact" else EXIT_BUDGET), doc
 
 
-def cmd_simulate(args) -> tuple[int, dict]:
+def cmd_simulate(args) -> tuple[int, dict | str]:
     spec = _grid(args.grid)
     if args.r < 1:
         raise CliError("simulate requires threshold r >= 1", EXIT_PARSE)
@@ -330,9 +351,12 @@ def cmd_simulate(args) -> tuple[int, dict]:
         raise CliError(f"bad initial set: {exc}", EXIT_PARSE) from exc
     trace = closure(spec, a0, args.r)
     doc = trace.to_json_doc()
-    if args.out:
-        _write_json(args.out, doc)
-    return EXIT_OK, doc
+    if not args.out:
+        return EXIT_OK, doc
+    # the file and a JSON stdout hold the same text: encode it once
+    text = _json_text(doc)
+    Path(args.out).write_text(text)
+    return EXIT_OK, (text if args.format == "json" else doc)
 
 
 def cmd_audit(args) -> tuple[int, dict]:
@@ -391,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", cmd_search, help="exact minimum percolating set search")
     p.add_argument("--grid", required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--node-budget", type=float)
+    p.add_argument("--node-budget")
     p.add_argument("--size-budget", type=int)
     p.add_argument("--seed-lower", type=int)
     p.add_argument("--no-symmetry", action="store_true")

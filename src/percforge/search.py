@@ -41,14 +41,24 @@ one fixed element taking v to its orbit minimum and s fixes m*.  Only the
 pairs (v, s) are tried, with byte-gather tables for the n elements c_v and
 for the stabilizers of the orbit minima (see `_CanonicalTables`).  On Q5 a
 k-set is thus tried under k x 120 elements instead of 3,840.
+
+numpy is imported lazily: the module object exists at import, and numpy
+executes on the first attribute access, which only the search kernels
+make.  Importing numpy is most of a cold CLI start (0.12 s of the 0.18 s
+that `import percforge.cli` took with numpy 2.4 on 2 vCPUs), and only the
+search uses it, so every other command starts without it.  This module itself is still imported
+eagerly by the package: names like `percforge.exact_min` stay plain
+attributes, and tools that instrument imported modules see it.  Nothing
+here may touch numpy at import time, in a default argument or a module
+constant.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
-
-import numpy as np
 
 from .bootstrap import _bitsliced_round, closure_mask
 from .counts import DomainError, m_lower_grid
@@ -59,8 +69,24 @@ _GROUP_LIMIT = 50_000
 # (mask, member) pairs canonicalized at a time
 _PAIR_CHUNK = 1 << 18
 _EXACT_VERTEX_LIMIT = 64
-# bits set in byte b, one row per byte position of a uint64
-_POPCOUNT = np.tile(np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8), (8, 1))
+
+
+def _lazy_import(name: str):
+    """The module `name`, executed on its first attribute access (the
+    `importlib.util.LazyLoader` recipe).  A module already imported is
+    returned as it is, never executed twice."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -248,6 +274,8 @@ class _CanonicalTables:
         padded[:n] = least
         bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
         self.least_table = np.where(bits, padded.reshape(-1, 1, 8), n).min(axis=2).astype(np.uint8)
+        # bits set in byte b, one row per byte position of a uint64
+        self.popcount = np.tile(bits.sum(axis=1).astype(np.uint8), (8, 1))
         self.rev_table = self._build(rev[None, :])[0]
         # c_v followed by bit reversal (a mask in, a bit-reversed image out);
         # c_v's table for byte position bp is coset_table[bp, 256 v : 256 (v + 1)]
@@ -306,7 +334,7 @@ class _CanonicalTables:
         return [cols[:, bp] + offset for bp in range(self.nbytes)]
 
     @staticmethod
-    def _gather(table: np.ndarray, index: list[np.ndarray], op=np.bitwise_or) -> np.ndarray:
+    def _gather(table: np.ndarray, index: list[np.ndarray], op) -> np.ndarray:
         """op over byte positions bp of table[bp][index[bp]]."""
         acc = table[0][index[0]]
         for bp in range(1, len(index)):
@@ -321,7 +349,7 @@ class _CanonicalTables:
         order = np.argsort(self.rank[least], kind="stable") if self.sort_classes else slice(None)
         sets, least = masks[order], least[order]
         hits = sets & self.orbit_masks[least]
-        counts = np.maximum(self._gather(_POPCOUNT, self._bytes(hits), np.add), 1).astype(np.intp)
+        counts = np.maximum(self._gather(self.popcount, self._bytes(hits), np.add), 1).astype(np.intp)
         parts = [slice(None)]
         if counts.sum() > _PAIR_CHUNK:
             cuts = np.flatnonzero(np.diff(np.cumsum(counts) // _PAIR_CHUNK)) + 1
@@ -330,7 +358,7 @@ class _CanonicalTables:
         canon = np.empty_like(masks)
         for part in parts:
             best = self._best_images(sets[part], hits[part], counts[part], least[part])
-            canon[part] = self._gather(self.rev_table, self._bytes(best))
+            canon[part] = self._gather(self.rev_table, self._bytes(best), np.bitwise_or)
         out[order] = canon
         return out
 
@@ -352,14 +380,16 @@ class _CanonicalTables:
             members[at] = (low.astype(np.float64).view(np.int64) >> 52) - 1023
             hits = hits ^ low
             at = at + 1
-        best = self._gather(self.coset_table, self._bytes(np.repeat(sets, counts), members << 8))
+        best = self._gather(
+            self.coset_table, self._bytes(np.repeat(sets, counts), members << 8), np.bitwise_or
+        )
         if self.class_cut:
             # the identity's image is `best` itself
             pair_ranks = np.repeat(self.rank[least], counts)
             stops = np.searchsorted(pair_ranks, self.class_cut)
             index = self._bytes(best[: stops[0]], pair_ranks[: stops[0]].astype(np.intp) << 8)
             for table, stop in zip(self.stab_tables, stops):
-                image = self._gather(table, [ix[:stop] for ix in index])
+                image = self._gather(table, [ix[:stop] for ix in index], np.bitwise_or)
                 np.maximum(best[:stop], image, out=best[:stop])
         return np.maximum.reduceat(best, starts)
 

@@ -277,6 +277,13 @@ def test_node_budget_zero_is_a_budget(capsys):
     assert doc["status"] == "budget" and doc["exact_m"] is None
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "1.9", "-1", "1e3"])
+def test_node_budget_must_be_a_non_negative_integer(capsys, budget):
+    code, out, err = run_cli(capsys, "search", "--grid", "Q4", "--r", "3", "--node-budget", budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --node-budget ") and err.count("\n") == 1
+
+
 def test_size_budget_zero_is_a_budget(capsys):
     code, doc, _ = run_json(capsys, "search", "--grid", "Q4", "--r", "3", "--size-budget", "0")
     assert code == 3
@@ -293,6 +300,20 @@ def test_simulate(capsys):
     code, doc, _ = run_json(capsys, "simulate", "--grid", "Q3", "--r", "2", "--a0", "0")
     assert code == 0
     assert doc["percolated"] is False and doc["rounds"] == []
+
+
+def test_simulate_writes_the_same_text_to_out_and_stdout(tmp_path, capsys):
+    from percforge.bootstrap import closure
+    from percforge.grid import VertexSet, parse_grid
+
+    spec = parse_grid("Q3")
+    doc = closure(spec, VertexSet.from_indices(spec, [1, 2, 4, 7]), 3).to_json_doc()
+    out = tmp_path / "trace.json"
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--grid", "Q3", "--r", "3", "--a0", "1,2,4,7", "--out", str(out)
+    )
+    assert code == 0
+    assert stdout == out.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_output_byte_stability(capsys):
