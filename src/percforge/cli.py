@@ -112,11 +112,16 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(_json_text(doc))
+    """Write the text `_json_text` gives, encoded piece by piece into the
+    file, so the whole document is never held as one string."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
 
 
-def _node_budget(text: str | None) -> int | None:
-    """A node budget: a non-negative decimal integer."""
+def _count_option(text: str | None, option: str) -> int | None:
+    """The value of a count option such as a budget: a non-negative decimal
+    integer, or None when the option is absent."""
     if text is None:
         return None
     try:
@@ -124,7 +129,7 @@ def _node_budget(text: str | None) -> int | None:
             return int(text)
     except ValueError:  # more digits than int() converts
         pass
-    raise CliError(f"--node-budget expects a non-negative integer, got {text!r}", EXIT_PARSE)
+    raise CliError(f"{option} expects a non-negative integer, got {text!r}", EXIT_PARSE)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -327,10 +332,10 @@ def cmd_search(args) -> tuple[int, dict]:
     config = SearchConfig(
         spec,
         args.r,
-        size_budget=args.size_budget,
-        node_budget=_node_budget(args.node_budget),
+        size_budget=_count_option(args.size_budget, "--size-budget"),
+        node_budget=_count_option(args.node_budget, "--node-budget"),
         symmetry=not args.no_symmetry,
-        seed_lower=args.seed_lower,
+        seed_lower=_count_option(args.seed_lower, "--seed-lower"),
     )
     try:
         result = exact_min(config)
@@ -366,8 +371,16 @@ def cmd_audit(args) -> tuple[int, dict]:
     return (EXIT_OK if report["pass"] else EXIT_VERIFY), report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line with exit code 2, like every
+    other input error; subcommand parsers inherit it through `add_parser`."""
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perc-forge",
         description="minimum percolating sets and weak saturation certificates on grids",
     )
@@ -416,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--node-budget")
-    p.add_argument("--size-budget", type=int)
-    p.add_argument("--seed-lower", type=int)
+    p.add_argument("--size-budget")
+    p.add_argument("--seed-lower")
     p.add_argument("--no-symmetry", action="store_true")
 
     p = add("simulate", cmd_simulate, help="run the infection process and export the trace")

@@ -49,7 +49,6 @@ from typing import Iterable, Sequence
 from .counts import DomainError, w_recurrence, wsat_hypercube
 from .grid import GridSpec, _json_field, _json_int, _json_list, parse_grid
 from .linalg import (
-    F0,
     F1,
     CertificationError,
     SupportSubspace,
@@ -66,9 +65,16 @@ class FamilyError(ValueError):
     pass
 
 
+# An edge vector in R^target_dim, kept sparse: column -> nonzero exact
+# entry.  Families share one dict between edges whose vectors are equal
+# (a copied sub-grid reuses its source's vectors), so none is ever mutated.
+EdgeVector = dict[int, Fraction]
+
+
 @dataclass(frozen=True)
 class EdgeVectorFamily:
-    """Vectors indexed by the grid's global edge enumeration.
+    """Vectors indexed by the grid's global edge enumeration, each a
+    sparse `EdgeVector`; `to_json_doc` writes them dense.
 
     label_mode is "grid" (subspace coordinates are the 2d odd/even labels)
     or "direction" (hypercube only: coordinates are the d directions).
@@ -78,7 +84,7 @@ class EdgeVectorFamily:
     r: int
     label_mode: str
     target_dim: int
-    vectors: tuple[Vector, ...]
+    vectors: tuple[EdgeVector, ...]
     subspace: SupportSubspace
 
     def __post_init__(self) -> None:
@@ -128,7 +134,7 @@ class RankCertificate:
             "ambient": fam.subspace.ambient,
             "subspace_basis": [[str(x) for x in row] for row in fam.subspace.basis],
             "target_dim": fam.target_dim,
-            "vectors": [[str(x) for x in vec] for vec in fam.vectors],
+            "vectors": [_dense_strings(vec, fam.target_dim) for vec in fam.vectors],
             "rank": self.rank,
             "pivot_edges": list(self.pivot_edges),
             "wsat_lower": self.wsat_lower,
@@ -136,13 +142,29 @@ class RankCertificate:
         }
 
 
-def _parse_vector(entries, length: int, parsed: dict[str, Fraction]) -> Vector:
-    """A JSON vector of rational strings; "0" (nearly every entry) maps to
-    the shared F0 and every other entry to exactly Fraction(entry), parsed
-    once per distinct string and remembered in `parsed`."""
+def _dense_strings(vec: EdgeVector, length: int) -> list[str]:
+    """The JSON form of a sparse vector: every entry as str(Fraction), so a
+    zero is "0"."""
+    out = ["0"] * length
+    for j, x in vec.items():
+        out[j] = str(x)
+    return out
+
+
+def _parse_vector(entries, length: int, parsed: dict[str, Fraction]) -> EdgeVector:
+    """A JSON vector of rational strings, read straight into sparse form:
+    "0" (nearly every entry) is skipped, every other entry is exactly
+    Fraction(entry), parsed once per distinct string and remembered in
+    `parsed`, and kept when it is nonzero ("-0" or "0/7" are not)."""
     if not isinstance(entries, list) or len(entries) != length:
         raise ValueError(f"every vector must be a list of target_dim = {length} entries")
-    return tuple([F0 if s == "0" else _parse_entry(s, parsed) for s in entries])
+    vec = {}
+    for j, s in enumerate(entries):
+        if s != "0":
+            x = _parse_entry(s, parsed)
+            if x:
+                vec[j] = x
+    return vec
 
 
 # exactly what str(Fraction) writes; Fraction() would also read exponents,
@@ -168,19 +190,76 @@ def _parse_entry(s, parsed: dict[str, Fraction]) -> Fraction:
 # vector helpers
 
 
-def _unit(n: int, k: int) -> Vector:
-    return tuple(F1 if i == k else F0 for i in range(n))
+def _units(n: int) -> list[EdgeVector]:
+    """The standard basis of R^n: edge k gets the k-th unit vector."""
+    return [{k: F1} for k in range(n)]
 
 
-def _combination(vectors: Sequence[Vector], w: int, terms: Iterable[tuple[int, Fraction]]) -> Vector:
+def _glue(low: EdgeVector, high: EdgeVector, shift: int) -> EdgeVector:
+    """The vector whose first `shift` coordinates are `low` and whose next
+    ones are `high`: the sparse form of padding and concatenation."""
+    out = dict(low)
+    for j, x in high.items():
+        out[j + shift] = x
+    return out
+
+
+def _combination(
+    vectors: Sequence[EdgeVector], terms: Iterable[tuple[int, Fraction]]
+) -> EdgeVector:
     """sum of x * vectors[e] over the (edge index e, coefficient x) pairs:
-    the combination sum_c x_c f_{e(v,c)} of the edge vectors at a vertex."""
-    acc = [F0] * w
+    the combination sum_c x_c f_{e(v,c)} of the edge vectors at a vertex,
+    with the entries that cancel dropped (empty means zero).
+
+    Each sum is carried as an unreduced integer pair (numerator,
+    denominator) and reduced once, by Fraction, at the end: the same exact
+    value without a gcd per product and per addition."""
+    acc: dict[int, tuple[int, int]] = {}
     for e, xc in terms:
-        for j, x in enumerate(vectors[e]):
-            if x:
-                acc[j] += xc * x
-    return tuple(acc)
+        p, q = xc.numerator, xc.denominator
+        for j, x in vectors[e].items():
+            n, d = p * x.numerator, q * x.denominator
+            if j in acc:
+                an, ad = acc[j]
+                acc[j] = (an * d + n * ad, ad * d)
+            else:
+                acc[j] = (n, d)
+    return {j: Fraction(n, d) for j, (n, d) in acc.items() if n}
+
+
+class _SupportSolver:
+    """`find_support_vector` and the coefficients derived from its answers,
+    memoized for the life of one build call.
+
+    The recursion asks for the same (subspace, target) again and again: a
+    build makes several times more requests than there are distinct ones.
+    Each build creates its own solver and drops it on return, so no later
+    build or command reuses its answers."""
+
+    def __init__(self) -> None:
+        self._vectors: dict[tuple, Vector] = {}  # (space, target) -> z
+        self._terms: dict[tuple, list[tuple[int, Fraction]]] = {}  # (space, target, kill)
+
+    def vector(self, space: SupportSubspace, target: tuple[int, ...]) -> Vector:
+        """The member z of `space` supported exactly on `target`."""
+        key = (space, target)
+        z = self._vectors.get(key)
+        if z is None:
+            z = self._vectors[key] = find_support_vector(space, target)
+        return z
+
+    def killing_terms(
+        self, space: SupportSubspace, target: tuple[int, ...], kill: int
+    ) -> list[tuple[int, Fraction]]:
+        """The pairs (c, -z_c / z_kill) over c in `target` other than `kill`:
+        the edge at coordinate `kill` gets sum_c -z_c / z_kill f_{e(v,c)},
+        so the z-relation at v vanishes."""
+        key = (space, target, kill)
+        terms = self._terms.get(key)
+        if terms is None:
+            z = self.vector(space, target)
+            terms = self._terms[key] = [(c, -z[c] / z[kill]) for c in target if c != kill]
+        return terms
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +280,16 @@ def _derived(rows, keep: Sequence[int], expect_dim: int) -> SupportSubspace:
 
 
 def _eliminate_and_drop(
-    space: SupportSubspace, kill_coord: int, drop_coords: tuple[int, ...], expect_dim: int
+    space: SupportSubspace,
+    kill_coord: int,
+    drop_coords: tuple[int, ...],
+    expect_dim: int,
+    solver: _SupportSolver,
 ) -> SupportSubspace:
     """Project out `kill_coord` against a member z with z[kill_coord] != 0,
     then delete `drop_coords`."""
     target = _lex_first_superset(range(space.ambient), kill_coord, space.codim + 1)
-    z = find_support_vector(space, target)
+    z = solver.vector(space, target)
     zc = z[kill_coord]
     rows = []
     for b in space.basis:
@@ -237,39 +320,37 @@ def _lex_first_superset(universe, required: int, size: int) -> tuple[int, ...]:
 # hypercube family (direction coordinates)
 
 
-def _cube_family(spec: GridSpec, r: int, space: SupportSubspace) -> list[Vector]:
+def _cube_family(
+    spec: GridSpec, r: int, space: SupportSubspace, solver: _SupportSolver
+) -> list[EdgeVector]:
     d = spec.d
     ne = spec.num_edges
     if r == 0:
-        return [()] * ne
+        return [{}] * ne
     if d == r:
-        return [_unit(ne, k) for k in range(ne)]
+        return _units(ne)
 
-    w = wsat_hypercube(d, r)
     sub = GridSpec.hypercube(d - 1)
-    x0 = _eliminate_and_drop(space, d - 1, (d - 1,), d - 1 - r)
+    x0 = _eliminate_and_drop(space, d - 1, (d - 1,), d - 1 - r, solver)
     x1 = _derived(space.basis, range(d - 1), d - r)
-    f0 = _cube_family(sub, r, x0)
-    f1 = _cube_family(sub, r - 1, x1)
+    f0 = _cube_family(sub, r, x0, solver)
+    f1 = _cube_family(sub, r - 1, x1, solver)
     w0 = wsat_hypercube(d - 1, r)
-    w1 = wsat_hypercube(d - 1, r - 1)
-    assert w == w0 + w1
+    assert wsat_hypercube(d, r) == w0 + wsat_hypercube(d - 1, r - 1)
 
-    vectors: list[Vector | None] = [None] * ne
-    pad = (F0,) * w1
+    vectors: list[EdgeVector | None] = [None] * ne
     for k, e in enumerate(spec.slab_edge_indices(d, 0, 1)):
-        vectors[e] = f0[k] + pad
+        vectors[e] = f0[k]  # padded with w1 zeros: the same sparse vector
     for k, e in enumerate(spec.slab_edge_indices(d, 1, 1)):
-        vectors[e] = f0[k] + f1[k]
+        vectors[e] = _glue(f0[k], f1[k], w0)
 
     # cross edges kill the z-relation at their bottom endpoint
     target = _lex_first_superset(range(d), d - 1, r + 1)
-    z = find_support_vector(space, target)
-    terms = [(2 * c + 1, -z[c] / z[d - 1]) for c in range(d - 1) if z[c]]
+    terms = solver.killing_terms(space, target, d - 1)
     for v in range(1 << (d - 1)):  # the bottom copy: direction d goes up from v
-        star = [(spec.label_to_edge_index(v, label), x) for label, x in terms]
-        vectors[spec.label_to_edge_index(v, 2 * d - 1)] = _combination(vectors, w, star)
-    assert all(vec is not None for vec in vectors)
+        star = [(spec.label_to_edge_index(v, 2 * c + 1), x) for c, x in terms]
+        vectors[spec.label_to_edge_index(v, 2 * d - 1)] = _combination(vectors, star)
+    assert None not in vectors
     return vectors  # type: ignore[return-value]
 
 
@@ -277,40 +358,44 @@ def _cube_family(spec: GridSpec, r: int, space: SupportSubspace) -> list[Vector]
 # grid family (odd/even label coordinates)
 
 
-def _grid_family(spec: GridSpec, r: int, space: SupportSubspace) -> list[Vector]:
+def _grid_family(
+    spec: GridSpec, r: int, space: SupportSubspace, solver: _SupportSolver
+) -> list[EdgeVector]:
     dims, d, ne = spec.dims, spec.d, spec.num_edges
     if d == 0:
         return []
     if r == 0:
-        return [()] * ne
+        return [{}] * ne
     if r == 2 * d:
-        return [_unit(ne, k) for k in range(ne)]
+        return _units(ne)
     if spec.is_hypercube:
         if r > d:
-            return [_unit(ne, k) for k in range(ne)]
+            return _units(ne)
         odd = tuple(2 * i for i in range(d))  # 0-based slots of labels 1,3,5,...
         compressed = _derived(space.vectors_supported_inside(odd), odd, d - r)
-        return _cube_family(spec, r, compressed)
+        return _cube_family(spec, r, compressed, solver)
 
     # one spec per shape: g1 is the previous layer's parent
     p = max(i + 1 for i, a in enumerate(dims) if a >= 3)
     a_p = dims[p - 1]
     side = GridSpec(dims[: p - 1] + dims[p:])
     g1 = GridSpec(dims[: p - 1] + (2,) + dims[p:])
-    cur = _grid_family(g1, r, space)
-    side_cache: dict[int, list[Vector]] = {}
+    cur = _grid_family(g1, r, space, solver)
+    side_cache: dict[int, list[EdgeVector]] = {}
 
-    def side_family(tau_label: int) -> list[Vector]:
+    def side_family(tau_label: int) -> list[EdgeVector]:
         taubar0 = (2 * p - 1 if tau_label == 2 * p else 2 * p) - 1
         if taubar0 not in side_cache:
-            x2 = _eliminate_and_drop(space, taubar0, (2 * p - 2, 2 * p - 1), 2 * d - r - 1)
-            side_cache[taubar0] = _grid_family(side, r - 1, x2)
+            x2 = _eliminate_and_drop(space, taubar0, (2 * p - 2, 2 * p - 1), 2 * d - r - 1, solver)
+            side_cache[taubar0] = _grid_family(side, r - 1, x2, solver)
         return side_cache[taubar0]
 
     for m in range(3, a_p + 1):
         parent = spec if m == a_p else GridSpec(dims[: p - 1] + (m,) + dims[p:])
         tau_label = 2 * p - 1 if (m - 1) % 2 == 1 else 2 * p
-        cur = _combine_layer(parent, g1, side, p, cur, side_family(tau_label), r, space, tau_label)
+        cur = _combine_layer(
+            parent, g1, side, p, cur, side_family(tau_label), r, space, tau_label, solver
+        )
         g1 = parent
     return cur
 
@@ -320,12 +405,13 @@ def _combine_layer(
     g1: GridSpec,
     side: GridSpec,
     p: int,
-    g1_vecs: list[Vector],
-    side_vecs: list[Vector],
+    g1_vecs: list[EdgeVector],
+    side_vecs: list[EdgeVector],
     r: int,
     space: SupportSubspace,
     tau_label: int,
-) -> list[Vector]:
+    solver: _SupportSolver,
+) -> list[EdgeVector]:
     """Glue g1 (axis p cut to m - 1) and the side grid (axis p removed) into
     the parent (axis p of length m): g1 is the parent's lower slab, the side
     grid its top slice, and the cross edges join g1's top slice to it."""
@@ -333,42 +419,37 @@ def _combine_layer(
     w1 = w_recurrence(g1.dims, r)
     w2 = w_recurrence(side.dims, r - 1)
     top = g1.slab_indices(p, m - 2, 1)  # g1's top slice, indexed like side
+    labels_at = [g1.incident_labels(v) for v in top]
     y_pos: dict[int, int] = {}
-    for v in top:
-        if len(g1.incident_labels(v)) < r:
+    for v, labels in zip(top, labels_at):
+        if len(labels) < r:
             y_pos[v] = len(y_pos)
-    pad = (F0,) * len(y_pos)
-    w = w1 + w2 + len(y_pos)
-    assert w == w_recurrence(parent.dims, r)
+    assert w1 + w2 + len(y_pos) == w_recurrence(parent.dims, r)
 
     emb1 = parent.slab_indices(p, 0, m - 1)
 
-    vectors: list[Vector | None] = [None] * parent.num_edges
-    g1_pad = (F0,) * w2 + pad
+    vectors: list[EdgeVector | None] = [None] * parent.num_edges
     for k, e in enumerate(parent.slab_edge_indices(p, 0, m - 1)):
-        vectors[e] = g1_vecs[k] + g1_pad
+        vectors[e] = g1_vecs[k]  # padded with zeros: the same sparse vector
 
     tau0 = tau_label - 1
-    cache: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
-    for v in top:
+    for v, labels in zip(top, labels_at):
         pv = emb1[v]
         idx = parent.label_to_edge_index(pv, tau_label)  # the cross edge up from pv
         if v in y_pos:
-            vectors[idx] = _unit(w, w1 + w2 + y_pos[v])
+            vectors[idx] = {w1 + w2 + y_pos[v]: F1}
             continue
-        coords_at_v = tuple(j - 1 for j in parent.incident_labels(pv))
+        # pv has v's edges in g1 plus the cross edge, labelled tau_label
+        coords_at_v = [j - 1 for j in labels] + [tau0]
         target = _lex_first_superset(coords_at_v, tau0, space.codim + 1)
-        terms = cache.get(target)
-        if terms is None:
-            zv = find_support_vector(space, target)
-            terms = cache[target] = [(c, -zv[c] / zv[tau0]) for c in target if c != tau0]
+        terms = solver.killing_terms(space, target, tau0)
         star = [(parent.label_to_edge_index(pv, c + 1), x) for c, x in terms]
-        vectors[idx] = _combination(vectors, w, star)
+        vectors[idx] = _combination(vectors, star)
 
     shadows = g1.slab_edge_indices(p, m - 2, 1)  # the side edges' copies in g1's top slice
     for k, e in enumerate(parent.slab_edge_indices(p, m - 1, 1)):
-        vectors[e] = g1_vecs[shadows[k]] + side_vecs[k] + pad
-    assert all(vec is not None for vec in vectors)
+        vectors[e] = _glue(g1_vecs[shadows[k]], side_vecs[k], w1)
+    assert None not in vectors
     return vectors  # type: ignore[return-value]
 
 
@@ -383,7 +464,7 @@ def build_edge_vectors_hypercube(d: int, r: int) -> EdgeVectorFamily:
         raise DomainError(f"need d >= r >= 0, got d={d}, r={r}")
     spec = GridSpec.hypercube(d)
     space = build_support_subspace(d, r)
-    vectors = _cube_family(spec, r, space)
+    vectors = _cube_family(spec, r, space, _SupportSolver())
     family = EdgeVectorFamily(spec, r, "direction", wsat_hypercube(d, r), tuple(vectors), space)
     verify_family(family)
     return family
@@ -407,7 +488,7 @@ def _unverified_grid_family(dims, r: int) -> EdgeVectorFamily:
         raise DomainError(f"need 0 <= r <= 2d, got r={r}")
     spec = GridSpec(dims)
     space = build_support_subspace(2 * len(dims), r)
-    vectors = _grid_family(spec, r, space)
+    vectors = _grid_family(spec, r, space, _SupportSolver())
     return EdgeVectorFamily(spec, r, "grid", w_recurrence(dims, r), tuple(vectors), space)
 
 
@@ -433,16 +514,18 @@ def verify_family(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
     ranking the family again.
     """
     w = family.target_dim
-    members_cache: dict[tuple[int, ...], list[Vector]] = {}
+    members_cache: dict[tuple[int, ...], list[list[tuple[int, Fraction]]]] = {}
     for v in family.spec.vertices():
         coords = family.incident_coords(v)
         members = members_cache.get(coords)
         if members is None:
-            members = family.subspace.vectors_supported_inside(coords)
-            members_cache[coords] = members
-        for x in members:
-            star = [(family.edge_at(v, c), x[c]) for c in support(x)]
-            if any(_combination(family.vectors, w, star)):
+            members = members_cache[coords] = [
+                [(c, x[c]) for c in support(x)]
+                for x in family.subspace.vectors_supported_inside(coords)
+            ]
+        for member in members:
+            star = [(family.edge_at(v, c), xc) for c, xc in member]
+            if _combination(family.vectors, star):
                 raise FamilyError(f"vanishing relation fails at vertex {v}")
     rank, pivots = family_rank(family)
     if rank != w:
@@ -457,17 +540,20 @@ def family_rank(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
     Building or rechecking a certificate runs it once: `verify_family`
     calls it for the span claim and returns its result.  It is exact
     (fraction-free integer elimination of primitive integer rows), so one
-    call proves the rank.  Scaling each row of the transposed family to a
-    primitive integer row multiplies it by a nonzero rational, which changes
-    neither the rank nor the first-nonzero pivot columns.
+    call proves the rank.  Row j of the transposed family is read off the
+    sparse edge vectors as the (edge, entry) pairs with coordinate j, so no
+    zero is visited; the elimination scales it to a primitive integer row,
+    which multiplies it by a nonzero rational and so changes neither the
+    rank nor the first-nonzero pivot columns.
     """
     w = family.target_dim
-    ne = len(family.vectors)
     if w == 0:
         return 0, ()
-    transposed = [[family.vectors[e][j] for e in range(ne)] for j in range(w)]
-    rank, pivots = rank_profile_of_rows(transposed, ne)
-    return rank, pivots
+    transposed: list[dict[int, Fraction]] = [{} for _ in range(w)]
+    for e, vec in enumerate(family.vectors):
+        for j, x in vec.items():
+            transposed[j][e] = x
+    return rank_profile_of_rows(transposed, len(family.vectors))
 
 
 def verify_star_relations(family: EdgeVectorFamily) -> int:
@@ -484,7 +570,6 @@ def verify_star_relations(family: EdgeVectorFamily) -> int:
     from itertools import combinations
 
     r = family.r
-    w = family.target_dim
     cache: dict[tuple[int, ...], Vector] = {}
     checked = 0
     for v in family.spec.vertices():
@@ -499,7 +584,7 @@ def verify_star_relations(family: EdgeVectorFamily) -> int:
             if support(x) != t:
                 raise FamilyError(f"support vector for {t} has wrong support")
             star = [(family.edge_at(v, c), x[c]) for c in t]
-            if any(_combination(family.vectors, w, star)):
+            if _combination(family.vectors, star):
                 raise FamilyError(f"star relation fails at vertex {v}, labels {t}")
             checked += 1
     return checked

@@ -301,7 +301,9 @@ class GridSpec:
 
     @cached_property
     def _label_table(self) -> list[int]:
-        """Flat lookup: vertex * 2d + (label - 1) -> edge index, or -1."""
+        """Flat lookup: vertex * 2d + (label - 1) -> edge index, or -1.
+        Certificate replay reads it directly; `label_to_edge_index` gives the
+        same answers without building it."""
         width = 2 * self.d
         table = [-1] * (self.num_vertices * width)
         for axis, (a, s) in enumerate(zip(self.dims, self.strides), start=1):
@@ -313,9 +315,34 @@ class GridSpec:
                     table[(v + s) * width + col] = k
         return table
 
+    @cached_property
+    def _label_axes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per label - 1: (stride, side, first edge index of the axis, the
+        parity of the 0-based lower-endpoint coordinate the label needs)."""
+        return tuple(
+            (s, a, off, parity)
+            for a, s, off in zip(self.dims, self.strides, self._axis_edge_offsets)
+            for parity in (0, 1)
+        )
+
     def label_to_edge_index(self, v: int, label: int) -> int:
-        """Global index of e(v, label), or -1 when the label is absent."""
-        return self._label_table[v * 2 * self.d + label - 1]
+        """Global index of e(v, label), or -1 when the label is absent.
+
+        Computed from strides, with no table.  Let c be v's 0-based
+        coordinate on the label's axis (side a, stride s).  Of the edges at
+        v on that axis, e(v, label) is the one whose lower endpoint has the
+        0-based coordinate `low` in {c - 1, c} of the label's parity (even
+        for odd labels), and it exists when 0 <= low <= a - 2.  The axis's
+        edges are numbered like the grid with side a - 1 on that axis, so a
+        lower endpoint u is edge u - (u // (s * a)) * s past the axis's
+        first edge index.
+        """
+        s, a, off, parity = self._label_axes[label - 1]
+        c = v // s % a
+        low = c - ((c ^ parity) & 1)
+        if not 0 <= low <= a - 2:
+            return -1
+        return off + v - (c - low) * s - v // (s * a) * s
 
     def edges(self) -> Iterator[EdgeId]:
         for axis in range(1, self.d + 1):

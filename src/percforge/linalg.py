@@ -1,8 +1,9 @@
 """Exact rational linear algebra for rank certificates.
 
-Everything is integer-or-Fraction arithmetic; rows are kept as primitive
-integer vectors (gcd 1, first nonzero positive) after every elimination so
-intermediate values stay small and artifacts are byte-stable.
+Everything is integer-or-Fraction arithmetic.  Elimination keeps its rows
+as sparse coprime integer vectors (gcd 1) after every update, so
+intermediate values stay small, and every row it hands out is primitive
+(gcd 1, first nonzero positive), so artifacts are byte-stable.
 
 The central object is a *support subspace*: a subspace of R^k, given by a
 basis, in which every nonzero vector has more than `codim` nonzero entries.
@@ -40,67 +41,103 @@ class CertificationError(LinalgError):
 # primitive integer row utilities
 
 
+def _integer_entries(entries: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
+    """Scale the nonzero (column, value) pairs of a rational row to coprime
+    integers, keyed by column in the order given; the sign is left alone.
+
+    Each entry contributes its numerator and denominator (an int is its own
+    numerator over 1), so the scaling is integer-only and creates no
+    Fraction."""
+    entries = [(c, x) for c, x in entries if x]
+    if not entries:
+        return {}
+    denom = lcm(*(x.denominator for _, x in entries))
+    ints = {c: x.numerator * (denom // x.denominator) for c, x in entries}
+    g = gcd(*ints.values())
+    if g == 1:
+        return ints
+    return {c: v // g for c, v in ints.items()}
+
+
+def _dense_primitive(
+    entries: Iterable[tuple[int, Fraction | int]], ncols: int
+) -> tuple[int, ...]:
+    """The dense primitive integer row of the (column, value) entries:
+    coprime integers, first nonzero (least column) positive."""
+    out = [0] * ncols
+    ints = _integer_entries(entries)
+    sign = -1 if ints and ints[min(ints)] < 0 else 1
+    for c, v in ints.items():
+        out[c] = sign * v
+    return tuple(out)
+
+
 def primitive_int_row(row: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational row to coprime integers with positive leading sign.
 
-    Rank matrices are mostly zeros, so only the nonzero entries are touched
-    and no Fraction is created: each entry contributes its numerator and
-    denominator (an int is its own numerator over 1), and the scaling is
-    integer-only.
+    Rank matrices are mostly zeros, so only the nonzero entries are touched.
     """
-    ints = [0] * len(row)
-    nonzero = [(i, x.numerator, x.denominator) for i, x in enumerate(row) if x]
-    if not nonzero:
-        return tuple(ints)
-    denom_lcm = lcm(*(d for _, _, d in nonzero))
-    g = 0
-    for i, n, d in nonzero:
-        ints[i] = v = n * (denom_lcm // d)
-        g = gcd(g, v)
-    if nonzero[0][1] < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    return _dense_primitive(enumerate(row), len(row))
 
 
 def _echelon(
-    rows: Iterable[Sequence[Fraction | int]], ncols: int
-) -> tuple[list[list[int]], tuple[int, ...]]:
+    rows: Iterable[Sequence[Fraction | int] | dict[int, Fraction | int]], ncols: int
+) -> tuple[list[dict[int, int]], tuple[int, ...]]:
     """The one fraction-free forward elimination: echelon integer rows (one
     per pivot) and their first-nonzero pivot columns.
 
-    Each update cross-multiplies by the pivot and divides the updated row
-    by the gcd of its remaining entries, so no rationals appear.  Only the
-    columns from the pivot on are touched (earlier ones are already zero in
-    every row below), and the loop stops once every row is a pivot row.
-    The pivot columns are fixed by the row space, whatever the row order.
+    A row is a dense sequence or a sparse mapping from column to value; it is
+    carried as a mapping of its nonzero integer entries, so zeros are never
+    visited.  Each update cross-multiplies by the pivot and divides the
+    updated row by the gcd of its entries, so no rationals appear and the
+    integers stay primitive.  A pivot column is the least first-nonzero
+    column among the rows not yet used, and the pivot row is the first of
+    them (in the current order) with an entry there: the choice a dense
+    column scan makes, since every unused row is zero left of its first
+    nonzero column.  The pivot columns are fixed by the row space, whatever
+    the row order.
     """
-    work = [list(primitive_int_row(r)) for r in rows]
-    work = [r for r in work if any(r)]
+    work = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = _integer_entries(items)
+        if entries:
+            work.append(entries)
+    leads = [min(r) for r in work]
     pivots: list[int] = []
     rank = 0
-    for col in range(ncols):
-        idx = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if idx is None:
-            continue
+    n = len(work)
+    while rank < n:
+        col = min(leads[rank:])
+        if col >= ncols:  # only rows eliminated to zero are left
+            break
+        idx = leads.index(col, rank)
         work[rank], work[idx] = work[idx], work[rank]
-        piv_row = work[rank]
-        piv = piv_row[col]
-        for i in range(rank + 1, len(work)):
-            r = work[i]
-            x = r[col]
-            if x:
-                for c in range(col, ncols):
-                    r[c] = r[c] * piv - x * piv_row[c]
-                g = 0
-                for c in range(col + 1, ncols):
-                    g = gcd(g, r[c])
+        leads[rank], leads[idx] = leads[idx], leads[rank]
+        piv = work[rank][col]
+        piv_rest = [(c, pv) for c, pv in work[rank].items() if c != col]
+        for i in range(rank + 1, n):
+            if leads[i] != col:
+                continue
+            x = work[i][col]
+            new = {c: v * piv for c, v in work[i].items()}
+            del new[col]
+            for c, pv in piv_rest:
+                v = new.get(c, 0) - x * pv
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+            if new:
+                g = gcd(*new.values())
                 if g > 1:
-                    for c in range(col + 1, ncols):
-                        r[c] //= g
+                    new = {c: v // g for c, v in new.items()}
+                leads[i] = min(new)
+            else:
+                leads[i] = ncols
+            work[i] = new
         rank += 1
         pivots.append(col)
-        if rank == len(work):
-            break
     return work[:rank], tuple(pivots)
 
 
@@ -108,13 +145,14 @@ def reduce_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[tu
     """Row-reduce to an independent echelon set of primitive integer rows.
     Which rows come out depends on the input order; their span does not."""
     echelon, _ = _echelon(rows, ncols)
-    return [primitive_int_row(r) for r in echelon]
+    return [_dense_primitive(r.items(), ncols) for r in echelon]
 
 
 def rank_profile_of_rows(
-    rows: Iterable[Sequence[Fraction | int]], ncols: int
+    rows: Iterable[Sequence[Fraction | int] | dict[int, Fraction | int]], ncols: int
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact rank plus the first-nonzero pivot columns."""
+    """Exact rank plus the first-nonzero pivot columns.  A row may be a
+    dense sequence or a sparse mapping from column to nonzero value."""
     _, pivots = _echelon(rows, ncols)
     return len(pivots), pivots
 
@@ -131,7 +169,7 @@ def nullspace_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list
         x[f] = F1
         for col in sorted(pivot_of, reverse=True):
             r = pivot_of[col]
-            s = sum((Fraction(r[c]) * x[c] for c in range(col + 1, ncols)), start=F0)
+            s = sum((Fraction(v) * x[c] for c, v in r.items() if c != col), start=F0)
             x[col] = -s / r[col]
         basis.append(primitive_int_row(x))
     return basis

@@ -284,6 +284,31 @@ def test_node_budget_must_be_a_non_negative_integer(capsys, budget):
     assert err.startswith("error: --node-budget ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--size-budget", "--seed-lower"])
+@pytest.mark.parametrize("value", ["-1", "-4", "1.5", "nan", "1e3"])
+def test_count_options_must_be_non_negative_integers(capsys, option, value):
+    code, out, err = run_cli(capsys, "search", "--grid", "Q4", "--r", "3", option, value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--grid", "Q4", "--r", "3", "--size-budget", "1.5"],
+        ["wsat", "--grid", "3x3"],  # --r missing
+        ["wsat", "--grid", "3x3", "--r", "two"],
+        ["certify", "--grid", "3x3", "--r", "2", "--format", "xml"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_errors_are_one_stderr_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_size_budget_zero_is_a_budget(capsys):
     code, doc, _ = run_json(capsys, "search", "--grid", "Q4", "--r", "3", "--size-budget", "0")
     assert code == 3
@@ -314,6 +339,23 @@ def test_simulate_writes_the_same_text_to_out_and_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert stdout == out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["wsat-certificate", "rank-certificate", "witness"])
+def test_artifact_files_hold_the_indented_json_text(tmp_path, kind):
+    from percforge.cli import _write_json
+    from percforge.families import assemble_lower_bound
+    from percforge.saturation import build_wsat_grid
+    from percforge.witnesses import build_r3
+
+    doc = {
+        "wsat-certificate": lambda: build_wsat_grid((3, 4), 2).to_json_doc(),
+        "rank-certificate": lambda: assemble_lower_bound((3, 2), 2).to_json_doc(),
+        "witness": lambda: build_r3(5).to_json_doc(),
+    }[kind]()
+    path = tmp_path / "artifact.json"
+    _write_json(str(path), doc)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_output_byte_stability(capsys):

@@ -19,12 +19,18 @@ from percforge.families import (
 from percforge.linalg import build_support_subspace, rank_profile_of_rows, support
 
 
+def dense(family):
+    """The family's sparse edge vectors as dense tuples of length target_dim."""
+    w = family.target_dim
+    return [tuple(vec.get(j, Fraction(0)) for j in range(w)) for vec in family.vectors]
+
+
 def test_diagonal_case_is_standard_basis():
     for r in range(1, 4):
         fam = build_edge_vectors_hypercube(r, r)
         ne = fam.spec.num_edges
         assert fam.target_dim == ne == r * (1 << (r - 1))
-        for k, vec in enumerate(fam.vectors):
+        for k, vec in enumerate(dense(fam)):
             assert support(vec) == (k,)
 
 
@@ -48,7 +54,7 @@ def test_cube_family_5_3():
 def test_zero_star_family():
     fam = build_edge_vectors_hypercube(4, 0)
     assert fam.target_dim == 0
-    assert all(vec == () for vec in fam.vectors)
+    assert all(vec == () for vec in dense(fam))
 
 
 def test_grid_matches_cube_on_all_twos():
@@ -75,7 +81,7 @@ def test_grid_family_values():
     assert family_rank(fam)[0] == 6
     fam = build_edge_vectors_grid((3, 3), 4)  # r = 2d: a basis family
     assert fam.target_dim == fam.spec.num_edges == 12
-    for k, vec in enumerate(fam.vectors):
+    for k, vec in enumerate(dense(fam)):
         assert support(vec) == (k,)
 
 
@@ -93,7 +99,7 @@ def test_assemble_q4_r3():
     assert cert.wsat_lower == 17
     assert cert.m_lower == 6
     # pivot edges really are independent
-    rows = [cert.family.vectors[e] for e in cert.pivot_edges]
+    rows = [dense(cert.family)[e] for e in cert.pivot_edges]
     assert rank_profile_of_rows(rows, cert.family.target_dim)[0] == cert.rank
 
 
@@ -118,7 +124,7 @@ def test_assemble_matches_counts_on_small_sweep():
 def test_verify_family_catches_corruption():
     fam = build_edge_vectors_hypercube(3, 2)
     bad_vectors = list(fam.vectors)
-    bad_vectors[0] = tuple(x + 1 for x in bad_vectors[0])
+    bad_vectors[0] = {j: x + 1 for j, x in enumerate(dense(fam)[0]) if x + 1}
     bad = EdgeVectorFamily(fam.spec, fam.r, fam.label_mode, fam.target_dim, tuple(bad_vectors), fam.subspace)
     with pytest.raises(FamilyError):
         verify_family(bad)
@@ -130,7 +136,7 @@ def test_rank_certificate_json_roundtrip_and_recheck():
     back = rank_certificate_from_json_doc(doc)
     assert back.rank == cert.rank
     assert back.pivot_edges == cert.pivot_edges
-    assert back.family.vectors == cert.family.vectors
+    assert dense(back.family) == dense(cert.family)
     recheck_rank_certificate(back)
     # tamper with a vector entry: recheck must refuse
     doc_bad = cert.to_json_doc()
@@ -164,10 +170,35 @@ def test_one_rank_elimination_per_certificate(monkeypatch):
     assert shapes == [transposed]
 
 
+@pytest.mark.parametrize("dims, r", [((3, 4), 2), ((2, 2, 3), 3), ((2, 2, 2, 2), 2)])
+def test_support_solves_are_memoized_within_one_build(monkeypatch, dims, r):
+    # a build asks for repeated (subspace, target) pairs and solves each once;
+    # the memo lives only as long as its build, so a second identical build
+    # in the same process solves them all again
+    import percforge.families as families
+
+    real = families.find_support_vector
+    calls = []
+
+    def counting(space, target):
+        calls.append((space, tuple(target)))
+        return real(space, target)
+
+    monkeypatch.setattr(families, "find_support_vector", counting)
+    build = build_edge_vectors_hypercube if set(dims) == {2} else build_edge_vectors_grid
+    args = (len(dims), r) if set(dims) == {2} else (dims, r)
+    first = dense(build(*args))
+    n_first = len(calls)
+    assert n_first > 0 and len(set(calls)) == n_first
+    second = dense(build(*args))
+    assert len(calls) == 2 * n_first
+    assert second == first
+
+
 def test_fraction_strings_are_exact():
     cert = assemble_lower_bound((2, 2, 2), 2)
     doc = cert.to_json_doc()
-    for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):
+    for vec, parsed in zip(doc["vectors"], dense(rank_certificate_from_json_doc(doc).family)):
         for s, x in zip(vec, parsed):
             assert Fraction(s) == x
 
@@ -209,7 +240,7 @@ def test_loader_parses_entries_like_fraction():
     from pathlib import Path
 
     doc = json.loads((Path(__file__).parent / "fixtures" / "rank_q3_r2.json").read_text())
-    for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):
+    for vec, parsed in zip(doc["vectors"], dense(rank_certificate_from_json_doc(doc).family)):
         assert [Fraction(s) for s in vec] == list(parsed)
     rng = random.Random(5)
     odd = ["0", "-0", "00", "0/7", "6/4", "-10/15", "12345678901234567890/3"]
@@ -220,7 +251,7 @@ def test_loader_parses_entries_like_fraction():
         return str(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)))
 
     doc["vectors"] = [[entry() for _ in vec] for vec in doc["vectors"]]
-    for vec, parsed in zip(doc["vectors"], rank_certificate_from_json_doc(doc).family.vectors):
+    for vec, parsed in zip(doc["vectors"], dense(rank_certificate_from_json_doc(doc).family)):
         assert [Fraction(s) for s in vec] == list(parsed)
 
 

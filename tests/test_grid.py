@@ -143,6 +143,20 @@ def test_label_table_matches_resolve():
                     assert idx == -1
 
 
+@pytest.mark.parametrize(
+    "dims", [(2,), (7,), (2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (2, 5), (4, 3, 2), (3, 2, 4, 5)]
+)
+def test_label_lookup_matches_label_table(dims):
+    # the stride formula against the table that certificate replay reads:
+    # 1-D, hypercubes, mixed sides and a 4-axis grid, absent labels included
+    spec = GridSpec(dims)
+    width = 2 * spec.d
+    table = spec._label_table
+    for v in spec.vertices():
+        for j in range(1, width + 1):
+            assert spec.label_to_edge_index(v, j) == table[v * width + j - 1], (v, j)
+
+
 def test_edge_enumeration_golden():
     # the global enumeration is a serialization contract: certificates
     # reference edges by these positions
