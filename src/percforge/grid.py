@@ -302,8 +302,10 @@ class GridSpec:
     @cached_property
     def _label_table(self) -> list[int]:
         """Flat lookup: vertex * 2d + (label - 1) -> edge index, or -1.
-        Certificate replay reads it directly; `label_to_edge_index` gives the
-        same answers without building it."""
+        `label_to_edge_index` gives the same answers without building it, and
+        is what a few lookups on a short-lived spec should use.  Both stay
+        because certificate replay tests incidence with one slice of a
+        vertex's whole row, which the formula would answer with 2d calls."""
         width = 2 * self.d
         table = [-1] * (self.num_vertices * width)
         for axis, (a, s) in enumerate(zip(self.dims, self.strides), start=1):

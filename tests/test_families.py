@@ -20,8 +20,14 @@ from percforge.linalg import build_support_subspace, rank_profile_of_rows, suppo
 
 
 def dense(family):
-    """The family's sparse edge vectors as dense tuples of length target_dim."""
+    """The family's sparse edge vectors as dense tuples of length target_dim.
+
+    Checks the sparse invariant first: every stored key is a coordinate in
+    range(target_dim) and every stored value is nonzero, so a stray or zero
+    entry fails here instead of vanishing in the densified tuple."""
     w = family.target_dim
+    for vec in family.vectors:
+        assert all(0 <= j < w and x for j, x in vec.items()), vec
     return [tuple(vec.get(j, Fraction(0)) for j in range(w)) for vec in family.vectors]
 
 
@@ -54,6 +60,7 @@ def test_cube_family_5_3():
 def test_zero_star_family():
     fam = build_edge_vectors_hypercube(4, 0)
     assert fam.target_dim == 0
+    assert all(vec == {} for vec in fam.vectors)
     assert all(vec == () for vec in dense(fam))
 
 
