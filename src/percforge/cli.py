@@ -10,9 +10,11 @@ order, no timestamps.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bootstrap import closure, percolates
@@ -59,7 +61,74 @@ class CliError(Exception):
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The document as `json.dumps(doc, indent=2) + "\\n"`, from `_write_value`."""
+    parts: list[str] = []
+    _write_value(parts.append, doc)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# what json.dumps escapes in a string (ensure_ascii): a quote, a backslash
+# and every character outside printable ASCII
+_NEEDS_ESCAPE = re.compile(r'[\\"]|[^ -~]')
+
+
+def _write_value(write, value, indent: str = "") -> None:
+    """Pass the text of `json.dumps(value, indent=2)`, as it stands nested
+    at `indent`, to `write` in pieces: one per dict key and list item.
+
+    json.dumps uses its C encoder only without indent, so this lays out the
+    containers itself and writes each flat list of ints or of strings with
+    one join: ints by int.__repr__, strings as they are when none needs
+    escaping (one regex search over them all), else each by the encoder
+    json.dumps uses.  Any other value, such as a bool, None, a float, an
+    empty container, a tuple or a list of mixed kinds, is json.dumps's own
+    text with each newline followed by `indent` (all of its newlines are
+    layout: inside a string one is written \\n).  So the text equals
+    json.dumps's for every value, not only for the documents percforge
+    writes."""
+    kind = type(value)
+    inner = indent + "  "
+    if kind is dict and value and set(map(type, value)) == {str}:
+        sep = "{\n" + inner
+        for key, item in value.items():
+            head = sep + encode_basestring_ascii(key) + ": "
+            if type(item) is int:
+                write(head + int.__repr__(item))
+            else:
+                write(head)
+                _write_value(write, item, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+        return
+    if kind is list and value:
+        body = None
+        if type(value[0]) is str:
+            try:
+                joined = "".join(value)  # a TypeError unless all are strings
+            except TypeError:
+                pass
+            else:
+                if _NEEDS_ESCAPE.search(joined) is None:
+                    body = '"' + ('",\n' + inner + '"').join(value) + '"'
+                else:
+                    body = (",\n" + inner).join(map(encode_basestring_ascii, value))
+        else:
+            kinds = set(map(type, value))
+            if kinds == {int}:
+                body = (",\n" + inner).join(map(int.__repr__, value))
+            elif kinds <= {dict, list}:
+                sep = "[\n" + inner
+                for item in value:
+                    write(sep)
+                    _write_value(write, item, inner)
+                    sep = ",\n" + inner
+                write("\n" + indent + "]")
+                return
+        if body is not None:
+            write("[\n" + inner + body + "\n" + indent + "]")
+            return
+    write(json.dumps(value, indent=2).replace("\n", "\n" + indent))
 
 
 def _emit(doc: dict | str, fmt: str) -> None:
@@ -111,11 +180,22 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
 
 
+@contextlib.contextmanager
+def _out_file(path: str):
+    """The file at `path`, open for writing.  A path that cannot be opened
+    or written is an input error (exit 2), not a traceback."""
+    try:
+        with open(path, "w") as f:
+            yield f
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
+
+
 def _write_json(path: str, doc: dict) -> None:
-    """Write the text `_json_text` gives, encoded piece by piece into the
-    file, so the whole document is never held as one string."""
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+    """Write the text `_json_text` gives, streamed into the file value by
+    value, so the whole text is never held at once."""
+    with _out_file(path) as f:
+        _write_value(f.write, doc)
         f.write("\n")
 
 
@@ -163,6 +243,8 @@ def cmd_bound(args) -> tuple[int, dict]:
             lo, hi = (int(x) for x in args.d_range.split(":"))
         except ValueError:
             raise CliError("--d-range expects LO:HI", EXIT_PARSE) from None
+        if lo > hi:
+            raise CliError(f"--d-range {args.d_range!r} is empty: LO must be <= HI", EXIT_PARSE)
         rows = []
         for d in range(lo, hi + 1):
             try:
@@ -360,7 +442,8 @@ def cmd_simulate(args) -> tuple[int, dict | str]:
         return EXIT_OK, doc
     # the file and a JSON stdout hold the same text: encode it once
     text = _json_text(doc)
-    Path(args.out).write_text(text)
+    with _out_file(args.out) as f:
+        f.write(text)
     return EXIT_OK, (text if args.format == "json" else doc)
 
 

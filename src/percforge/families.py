@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counts import DomainError, w_recurrence, wsat_hypercube
-from .grid import GridSpec, _json_field, _json_int, _json_list, parse_grid
+from .grid import GridSpec, _json_field, _json_int, _json_list, _peel_axis, parse_grid
 from .linalg import (
     F1,
     CertificationError,
@@ -360,97 +360,89 @@ def _cube_family(
 
 def _grid_family(
     spec: GridSpec, r: int, space: SupportSubspace, solver: _SupportSolver
-) -> list[EdgeVector]:
+) -> tuple[list[EdgeVector], int]:
+    """The family of `spec` in its own edge order, and its span dimension w.
+
+    The bottom slab (axis p cut to 2) is built recursively and placed once;
+    every later layer m = 3..a_p writes only what it adds, in the final
+    grid's indices: the cross edges from slice m - 1 to slice m, then the
+    new top slice m, whose edge k gets the vector of its copy in slice m - 1
+    glued to the side grid's edge k.  Lower-slab vectors never change after
+    their layer, so nothing is copied again.  w is carried as the running
+    sum w(m) = w(m - 1) + w2 + |Y|, where Y is the part of slice m - 1 whose
+    cross edges get fresh basis vectors."""
     dims, d, ne = spec.dims, spec.d, spec.num_edges
     if d == 0:
-        return []
+        return [], 0
     if r == 0:
-        return [{}] * ne
-    if r == 2 * d:
-        return _units(ne)
+        return [{}] * ne, 0
+    if r == 2 * d or (spec.is_hypercube and r > d):
+        return _units(ne), ne
     if spec.is_hypercube:
-        if r > d:
-            return _units(ne)
         odd = tuple(2 * i for i in range(d))  # 0-based slots of labels 1,3,5,...
         compressed = _derived(space.vectors_supported_inside(odd), odd, d - r)
-        return _cube_family(spec, r, compressed, solver)
+        return _cube_family(spec, r, compressed, solver), wsat_hypercube(d, r)
 
-    # one spec per shape: g1 is the previous layer's parent
-    p = max(i + 1 for i, a in enumerate(dims) if a >= 3)
-    a_p = dims[p - 1]
-    side = GridSpec(dims[: p - 1] + dims[p:])
-    g1 = GridSpec(dims[: p - 1] + (2,) + dims[p:])
-    cur = _grid_family(g1, r, space, solver)
-    side_cache: dict[int, list[EdgeVector]] = {}
+    p, bottom_dims, side_dims = _peel_axis(dims)
+    side = GridSpec(side_dims)
+    low, w1 = _grid_family(GridSpec(bottom_dims), r, space, solver)
+    vectors: list[EdgeVector | None] = [None] * ne
+    for e, vec in zip(spec.slab_edge_indices(p, 0, 2), low):
+        vectors[e] = vec  # padded with zeros: the same sparse vector
 
-    def side_family(tau_label: int) -> list[EdgeVector]:
-        taubar0 = (2 * p - 1 if tau_label == 2 * p else 2 * p) - 1
-        if taubar0 not in side_cache:
+    # a vertex of slice m - 1 has its side labels (axes from p on shift by
+    # one), the label taubar of its edge down, and the label tau of its
+    # cross edge up; only the parity of m decides tau and taubar
+    side_labels = [
+        [j - 1 if j < 2 * p - 1 else j + 1 for j in side.incident_labels(v)]
+        for v in side.vertices()
+    ]
+    layers: dict[int, tuple[list[EdgeVector], int, list]] = {}
+
+    def layer(tau0: int) -> tuple[list[EdgeVector], int, list]:
+        """For the cross-edge coordinate tau0: the side family, its w2, and
+        per slice vertex None (the vertex is in Y) or the killing terms of
+        its cross edge.  Built on first use."""
+        if tau0 not in layers:
+            taubar0 = 4 * p - 3 - tau0  # the other coordinate of axis p
             x2 = _eliminate_and_drop(space, taubar0, (2 * p - 2, 2 * p - 1), 2 * d - r - 1, solver)
-            side_cache[taubar0] = _grid_family(side, r - 1, x2, solver)
-        return side_cache[taubar0]
+            side_vecs, w2 = _grid_family(side, r - 1, x2, solver)
+            plan = [
+                None
+                if len(coords) + 1 < r
+                else solver.killing_terms(
+                    space,
+                    _lex_first_superset(coords + [taubar0, tau0], tau0, space.codim + 1),
+                    tau0,
+                )
+                for coords in side_labels
+            ]
+            layers[tau0] = side_vecs, w2, plan
+        return layers[tau0]
 
-    for m in range(3, a_p + 1):
-        parent = spec if m == a_p else GridSpec(dims[: p - 1] + (m,) + dims[p:])
-        tau_label = 2 * p - 1 if (m - 1) % 2 == 1 else 2 * p
-        cur = _combine_layer(
-            parent, g1, side, p, cur, side_family(tau_label), r, space, tau_label, solver
-        )
-        g1 = parent
-    return cur
-
-
-def _combine_layer(
-    parent: GridSpec,
-    g1: GridSpec,
-    side: GridSpec,
-    p: int,
-    g1_vecs: list[EdgeVector],
-    side_vecs: list[EdgeVector],
-    r: int,
-    space: SupportSubspace,
-    tau_label: int,
-    solver: _SupportSolver,
-) -> list[EdgeVector]:
-    """Glue g1 (axis p cut to m - 1) and the side grid (axis p removed) into
-    the parent (axis p of length m): g1 is the parent's lower slab, the side
-    grid its top slice, and the cross edges join g1's top slice to it."""
-    m = parent.dims[p - 1]
-    w1 = w_recurrence(g1.dims, r)
-    w2 = w_recurrence(side.dims, r - 1)
-    top = g1.slab_indices(p, m - 2, 1)  # g1's top slice, indexed like side
-    labels_at = [g1.incident_labels(v) for v in top]
-    y_pos: dict[int, int] = {}
-    for v, labels in zip(top, labels_at):
-        if len(labels) < r:
-            y_pos[v] = len(y_pos)
-    assert w1 + w2 + len(y_pos) == w_recurrence(parent.dims, r)
-
-    emb1 = parent.slab_indices(p, 0, m - 1)
-
-    vectors: list[EdgeVector | None] = [None] * parent.num_edges
-    for k, e in enumerate(parent.slab_edge_indices(p, 0, m - 1)):
-        vectors[e] = g1_vecs[k]  # padded with zeros: the same sparse vector
-
-    tau0 = tau_label - 1
-    for v, labels in zip(top, labels_at):
-        pv = emb1[v]
-        idx = parent.label_to_edge_index(pv, tau_label)  # the cross edge up from pv
-        if v in y_pos:
-            vectors[idx] = {w1 + w2 + y_pos[v]: F1}
-            continue
-        # pv has v's edges in g1 plus the cross edge, labelled tau_label
-        coords_at_v = [j - 1 for j in labels] + [tau0]
-        target = _lex_first_superset(coords_at_v, tau0, space.codim + 1)
-        terms = solver.killing_terms(space, target, tau0)
-        star = [(parent.label_to_edge_index(pv, c + 1), x) for c, x in terms]
-        vectors[idx] = _combination(vectors, star)
-
-    shadows = g1.slab_edge_indices(p, m - 2, 1)  # the side edges' copies in g1's top slice
-    for k, e in enumerate(parent.slab_edge_indices(p, m - 1, 1)):
-        vectors[e] = _glue(g1_vecs[shadows[k]], side_vecs[k], w1)
+    emb = spec.slab_indices(p, 0, 1)  # slice vertex i -> its vertex at coordinate 1
+    vstride = spec.strides[p - 1]
+    shadow = spec.slab_edge_indices(p, 1, 1)  # the side edges' copies in slice 2
+    for m in range(3, dims[p - 1] + 1):
+        tau0 = 2 * p - 2 if (m - 1) % 2 == 1 else 2 * p - 1
+        side_vecs, w2, plan = layer(tau0)
+        y = w1 + w2
+        base = (m - 2) * vstride
+        for i, e in enumerate(spec._edge_slab(p, p, m - 2, 1)):
+            terms = plan[i]
+            if terms is None:
+                vectors[e] = {y: F1}
+                y += 1
+            else:  # kill the z-relation at the cross edge's lower endpoint
+                pv = emb[i] + base
+                star = [(spec.label_to_edge_index(pv, c + 1), x) for c, x in terms]
+                vectors[e] = _combination(vectors, star)
+        top = spec.slab_edge_indices(p, m - 1, 1)
+        for k, e in enumerate(top):
+            vectors[e] = _glue(vectors[shadow[k]], side_vecs[k], w1)
+        shadow, w1 = top, y
     assert None not in vectors
-    return vectors  # type: ignore[return-value]
+    return vectors, w1  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +480,9 @@ def _unverified_grid_family(dims, r: int) -> EdgeVectorFamily:
         raise DomainError(f"need 0 <= r <= 2d, got r={r}")
     spec = GridSpec(dims)
     space = build_support_subspace(2 * len(dims), r)
-    vectors = _grid_family(spec, r, space, _SupportSolver())
-    return EdgeVectorFamily(spec, r, "grid", w_recurrence(dims, r), tuple(vectors), space)
+    vectors, w = _grid_family(spec, r, space, _SupportSolver())
+    assert w == w_recurrence(dims, r)
+    return EdgeVectorFamily(spec, r, "grid", w, tuple(vectors), space)
 
 
 def verify_family(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:

@@ -55,6 +55,15 @@ def _stride_embedding(base: int, stride: int, side: int, offset: int, length: in
     return [hi + lo for hi in starts for lo in range(stride * length)]
 
 
+def _peel_axis(dims: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The split of the grid recursion, for dims with a side >= 3: the
+    highest 1-based axis p of length >= 3, the dims with axis p cut to 2 (the
+    bottom slab) and the dims with axis p removed (the side grid, whose
+    copies fill the slices 3..a_p one layer at a time)."""
+    p = max(i + 1 for i, a in enumerate(dims) if a >= 3)
+    return p, dims[: p - 1] + (2,) + dims[p:], dims[: p - 1] + dims[p:]
+
+
 def _tile_mask(block: int, period: int, total: int) -> int:
     """Tile a bit pattern of width `period` across `total` bit positions."""
     out = block

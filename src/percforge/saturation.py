@@ -32,6 +32,7 @@ from .grid import (
     _json_field,
     _json_int,
     _json_list,
+    _peel_axis,
     parse_grid,
 )
 
@@ -399,13 +400,13 @@ def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
         if r > d:
             return _all_edge_parts(spec)
         return _cube_parts(d, r)
-    p = max(i + 1 for i, a in enumerate(dims) if a >= 3)
+    p, bottom_dims, side_dims = _peel_axis(dims)
     a_p = dims[p - 1]
     vstride = spec.strides[p - 1]
 
-    side_spec = GridSpec(dims[: p - 1] + dims[p:])  # no axes when d = 1: one vertex
-    bottom_base, bottom_adds = _grid_parts(dims[: p - 1] + (2,) + dims[p:], r)
-    side_base, side_adds = _grid_parts(side_spec.dims, r - 1)
+    side_spec = GridSpec(side_dims)  # no axes when d = 1: one vertex
+    bottom_base, bottom_adds = _grid_parts(bottom_dims, r)
+    side_base, side_adds = _grid_parts(side_dims, r - 1)
 
     # the a_p = 2 slab keeps its coordinates; only strides differ
     emb_bottom = spec.slab_indices(p, 0, 2)

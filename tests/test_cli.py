@@ -358,6 +358,157 @@ def test_artifact_files_hold_the_indented_json_text(tmp_path, kind):
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
+# strings json.dumps writes as they are, and strings it escapes: a quote, a
+# backslash, control characters, DEL and non-ASCII
+_PLAIN_STRINGS = ["0", "-3/7", "12345678901234567890/3", "", "rank-certificate", "a b ~"]
+_ESCAPED_STRINGS = ['say "hi"', "back\\slash", "new\nline", "tab\t", "\x7f", "caf\u00e9", "\u2603"]
+_INTS = [0, 1, -1, -7, 2**64, 2**64 + 1, -(2**70), 10**30]
+
+
+def _random_scalar(rng):
+    return rng.choice(
+        [rng.choice(_INTS), rng.randrange(-5, 50), rng.choice(_PLAIN_STRINGS),
+         rng.choice(_ESCAPED_STRINGS), True, False, None, 0.5, -1e300]
+    )
+
+
+def _random_tree(rng, depth=0):
+    """Any JSON value: mixed lists (bools and None among ints), nested and
+    empty containers, and keys that need escaping."""
+    pick = rng.randrange(6 if depth < 3 else 2)
+    if pick == 0:
+        return _random_scalar(rng)
+    if pick == 1:
+        return [rng.choice(_INTS) for _ in range(rng.randrange(4))]
+    if pick == 2:
+        return [rng.choice(_PLAIN_STRINGS + _ESCAPED_STRINGS) for _ in range(rng.randrange(4))]
+    if pick == 3:
+        return [_random_tree(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if pick == 4:
+        keys = _PLAIN_STRINGS + _ESCAPED_STRINGS
+        return {rng.choice(keys): _random_tree(rng, depth + 1) for _ in range(rng.randrange(4))}
+    items = [rng.choice(_INTS) for _ in range(rng.randrange(1, 4))]
+    items.insert(rng.randrange(len(items) + 1), rng.choice([True, False, None]))
+    return items
+
+
+def _random_document(rng, kind):
+    """A document with the keys and value shapes of one artifact kind, with
+    random sizes and values, empty lists included."""
+
+    def ints(n):
+        return [rng.choice(_INTS + [rng.randrange(100)]) for _ in range(n)]
+
+    if kind == "rank-certificate":
+        w = rng.choice([0, 0, 1, 3])
+        entries = ["0", "0", "0", "1", "-2/3", "10000000000000000000000/7"]
+        return {
+            "kind": kind, "spec": "3x2", "r": rng.randrange(4), "label_mode": "grid",
+            "ambient": 4,
+            "subspace_basis": [[str(x) for x in ints(4)] for _ in range(rng.randrange(3))],
+            "target_dim": w,
+            "vectors": [[rng.choice(entries) for _ in range(w)] for _ in range(rng.randrange(5))],
+            "rank": w, "pivot_edges": ints(rng.randrange(4)), "wsat_lower": w, "m_lower": 0,
+        }
+    if kind == "saturation-certificate":
+        return {
+            "kind": kind, "spec": "Q3", "star_size": rng.randrange(1, 4),
+            "base_edges": ints(rng.randrange(5)),
+            "additions": [
+                {"edge": rng.choice(_INTS), "center": rng.randrange(8),
+                 "labels": ints(rng.randrange(3))}
+                for _ in range(rng.randrange(4))
+            ],
+        }
+    if kind == "percolating-witness":
+        return {
+            "kind": kind, "spec": "Q5", "r": 3, "size": rng.randrange(9),
+            "vertices": ints(rng.randrange(5)),
+            "provenance": rng.choice(_PLAIN_STRINGS + _ESCAPED_STRINGS),
+        }
+    if kind == "infection-trace":
+        return {
+            "kind": kind, "spec": "4x4", "r": 2, "a0": ints(rng.randrange(4)),
+            "rounds": [ints(rng.randrange(4)) for _ in range(rng.randrange(4))],
+            "percolated": rng.choice([True, False]),
+        }
+    if kind == "search-result":
+        return {
+            "kind": kind, "spec": "Q4", "r": 3, "exact_m": rng.choice([None, 6]),
+            "status": "exact",
+            "witness": rng.choice([None, _random_document(rng, "percolating-witness")]),
+            "nodes_explored": rng.choice(_INTS),
+            "proof_of_optimality": rng.choice([True, False, None]),
+            "exhaustion": rng.choice(
+                [None, {"k": 5, "group_order": 384, "canonical_sets": rng.choice(_INTS)}]
+            ),
+            "seed_lower": 2, "seed_basis": rng.choice(["rank-certificate", 'a "quoted" basis']),
+        }
+    return _random_tree(rng)
+
+
+_KINDS = ["rank-certificate", "saturation-certificate", "percolating-witness",
+          "infection-trace", "search-result", "any"]
+
+
+def _writer_edge_cases():
+    from percforge.families import RankCertificate, build_edge_vectors_grid
+
+    r0 = RankCertificate(build_edge_vectors_grid((3, 2), 0), 0, (), 0, 0).to_json_doc()
+    assert r0["target_dim"] == 0 and r0["vectors"] and not any(r0["vectors"])
+    return [
+        {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}]}, [[], {}, [[]]],
+        {"ints": [-1, 0, 2**64, 2**64 + 1, -(2**70)]},
+        {"mixed": [1, True, 0, False, None]}, [True], [False, 1], [None, 2], [1, None],
+        {"labels": []}, {"additions": [{"edge": 1, "center": 0, "labels": []}]},
+        r0,
+        {"s": _ESCAPED_STRINGS, "t": ['"', "\\", "\n"], _ESCAPED_STRINGS[0]: "key"},
+        ["0", 'x"y'], ["plain", 5], [7, "plain"], {"nested": {"deeper": [["0", "\u00e9"]]}},
+        (1, 2), {"tuple": (1, [2, 3])}, {1: "int key"}, {"x": 1.5, "y": float("inf")},
+    ]
+
+
+def test_writer_text_equals_json_dumps_indent_2(tmp_path):
+    import random
+
+    from percforge.cli import _json_text, _write_json
+
+    rng = random.Random(20261020)
+    docs = _writer_edge_cases()
+    docs += [_random_document(rng, kind) for kind in _KINDS for _ in range(150)]
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        expected = json.dumps(doc, indent=2) + "\n"
+        assert _json_text(doc) == expected, doc
+        _write_json(str(path), doc)
+        assert path.read_text() == expected, doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wsat-build", "--grid", "Q2", "--r", "2"],
+        ["certify", "--grid", "Q2", "--r", "2"],
+        ["construct", "--grid", "Q3", "--r", "3"],
+        ["simulate", "--grid", "Q2", "--r", "2", "--a0", "0,3"],
+        ["simulate", "--grid", "Q2", "--r", "2", "--a0", "0,3", "--format", "table"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, argv, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["5:3", "a:b", "3", "1:2:3"])
+def test_bad_d_range_exits_2_naming_the_option(capsys, text):
+    code, stdout, err = run_cli(capsys, "bound", "--r", "3", "--d-range", text)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --d-range ") and err.count("\n") == 1
+
+
 def test_output_byte_stability(capsys):
     code1, out1, _ = run_cli(capsys, "certify", "--grid", "Q3", "--r", "2")
     code2, out2, _ = run_cli(capsys, "certify", "--grid", "Q3", "--r", "2")
