@@ -14,7 +14,9 @@ import contextlib
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .bootstrap import closure, percolates
@@ -75,18 +77,19 @@ _NEEDS_ESCAPE = re.compile(r'[\\"]|[^ -~]')
 
 def _write_value(write, value, indent: str = "") -> None:
     """Pass the text of `json.dumps(value, indent=2)`, as it stands nested
-    at `indent`, to `write` in pieces: one per dict key and list item.
+    at `indent`, to `write` in pieces: one per dict key and list item, or
+    per batch of records.
 
     json.dumps uses its C encoder only without indent, so this lays out the
     containers itself and writes each flat list of ints or of strings with
     one join: ints by int.__repr__, strings as they are when none needs
     escaping (one regex search over them all), else each by the encoder
-    json.dumps uses.  Any other value, such as a bool, None, a float, an
-    empty container, a tuple or a list of mixed kinds, is json.dumps's own
-    text with each newline followed by `indent` (all of its newlines are
-    layout: inside a string one is written \\n).  So the text equals
-    json.dumps's for every value, not only for the documents percforge
-    writes."""
+    json.dumps uses.  A list of flat records goes to `_write_records`.  Any
+    other value, such as a bool, None, a float, an empty container, a tuple
+    or a list of mixed kinds, is json.dumps's own text with each newline
+    followed by `indent` (all of its newlines are layout: inside a string
+    one is written \\n).  So the text equals json.dumps's for every value,
+    not only for the documents percforge writes."""
     kind = type(value)
     inner = indent + "  "
     if kind is dict and value and set(map(type, value)) == {str}:
@@ -117,6 +120,8 @@ def _write_value(write, value, indent: str = "") -> None:
             kinds = set(map(type, value))
             if kinds == {int}:
                 body = (",\n" + inner).join(map(int.__repr__, value))
+            elif kinds == {dict} and _write_records(write, value, indent):
+                return
             elif kinds <= {dict, list}:
                 sep = "[\n" + inner
                 for item in value:
@@ -129,6 +134,68 @@ def _write_value(write, value, indent: str = "") -> None:
             write("[\n" + inner + body + "\n" + indent + "]")
             return
     write(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+
+
+# records written with one %-template call
+_RECORD_BATCH = 256
+
+
+def _write_records(write, items: list, indent: str) -> bool:
+    """Write the list of dicts `items`, at `indent`, with one %-template
+    per record, when they are flat records: every item has the first
+    item's str keys in its order, and each key holds an int in every item
+    or an int list of one length in every item (such as a saturation
+    certificate's additions).  Returns False, having written nothing, for
+    any other list.
+
+    A record's text then depends on its ints alone, so one template with
+    a %d per int gives it: %d writes an int as int.__repr__ does, and the
+    check is on exact types, so no bool passes as an int.  The ints of a
+    batch of records are taken column by column and interleaved by zip;
+    only one batch's columns are held at a time."""
+    keys = tuple(items[0])
+    if not keys or set(map(type, keys)) != {str} or set(map(tuple, items)) != {keys}:
+        return False
+    inner, field, element = indent + "  ", indent + "    ", indent + "      "
+    parts, plan = [], []  # plan: (getter, list length or None for an int)
+    for key in keys:
+        head = field + encode_basestring_ascii(key).replace("%", "%%") + ": "
+        get = itemgetter(key)
+        kinds = set(map(type, map(get, items)))
+        if kinds == {int}:
+            parts.append(head + "%d")
+            plan.append((get, None))
+            continue
+        lengths = set(map(len, map(get, items))) if kinds == {list} else ()
+        if len(lengths) != 1:
+            return False
+        (length,) = lengths
+        if not length:
+            parts.append(head + "[]")
+            continue
+        if set(map(type, chain.from_iterable(map(get, items)))) != {int}:
+            return False
+        parts.append(head + "[\n" + element + (",\n" + element).join(["%d"] * length)
+                     + "\n" + field + "]")
+        plan.append((get, length))
+    record = "{\n" + ",\n".join(parts) + "\n" + inner + "}"
+    sep = ",\n" + inner
+    head, batch, size = "[\n" + inner, "", 0
+    for start in range(0, len(items), _RECORD_BATCH):
+        chunk = items[start : start + _RECORD_BATCH]
+        if len(chunk) != size:
+            batch, size = sep.join([record] * len(chunk)), len(chunk)
+        columns = []
+        for get, length in plan:
+            column = list(map(get, chunk))
+            if length is None:
+                columns.append(column)
+            else:
+                columns += (map(itemgetter(j), column) for j in range(length))
+        write(head + batch % tuple(chain.from_iterable(zip(*columns))))
+        head = sep
+    write("\n" + indent + "]")
+    return True
 
 
 def _emit(doc: dict | str, fmt: str) -> None:

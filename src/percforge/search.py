@@ -33,13 +33,25 @@ so an exhaustion record's canonical count is the Burnside count of
 k-subset orbits and can be checked against it.
 
 All bulk work runs on numpy uint64 bitmask arrays, which keeps the whole
-layer loop vectorized.  A canonical form is computed without trying every
-group element.  Let m*(S) be the least orbit minimum among the members of
-S.  The lex-least image of S starts with m*, so the element g producing it
-maps some member v in the orbit of m* to m*.  Then g = s c_v, where c_v is
-one fixed element taking v to its orbit minimum and s fixes m*.  Only the
-pairs (v, s) are tried, with byte-gather tables for the n elements c_v and
-for the stabilizers of the orbit minima (see `_CanonicalTables`).  On Q5 a
+layer loop vectorized.  Closure runs each round only on the masks the
+previous round changed.  A round's output depends on its input mask alone,
+so a mask that one round leaves unchanged is at its fixpoint; dropping it
+changes no closure, and most masks settle in a few of a layer's rounds.
+The children of a level are closed `_CLOSURE_CHUNK` at a time in level
+order, and the first chunk that holds a percolating child ends the layer
+with that chunk's first hit.  Every earlier child was closed and does not
+percolate, so this is the first percolating child of the whole level, the
+one a single closure of all children would give.  `nodes_explored` counts
+the children generated, all of them before any is closed, not those
+closed, so it is the same too.
+
+A canonical form is computed without trying every group element.  Let
+m*(S) be the least orbit minimum among the members of S.  The lex-least
+image of S starts with m*, so the element g producing it maps some member
+v in the orbit of m* to m*.  Then g = s c_v, where c_v is one fixed
+element taking v to its orbit minimum and s fixes m*.  Only the pairs
+(v, s) are tried, with byte-gather tables for the n elements c_v and for
+the stabilizers of the orbit minima (see `_CanonicalTables`).  On Q5 a
 k-set is thus tried under k x 120 elements instead of 3,840.
 
 numpy is imported lazily: the module object exists at import, and numpy
@@ -68,6 +80,8 @@ from .witnesses import PercolatingWitness
 _GROUP_LIMIT = 50_000
 # (mask, member) pairs canonicalized at a time
 _PAIR_CHUNK = 1 << 18
+# children closed at a time, in level order, until one percolates
+_CLOSURE_CHUNK = 1 << 14
 _EXACT_VERTEX_LIMIT = 64
 
 
@@ -231,12 +245,19 @@ class _MaskKernel:
         self.plan = [(s, np.uint64(mask)) for s, mask in spec.shift_plan]
 
     def closure(self, masks: np.ndarray) -> np.ndarray:
-        cur = masks
-        while True:
+        """The infection closure of every mask, as a new array.  A round
+        runs only on the masks that the previous round changed: the round
+        is a function of the mask alone, so a mask it leaves unchanged is
+        at its fixpoint and would stay unchanged in every later round."""
+        out = _bitsliced_round(masks, self.plan, self.r, self.full)
+        active = np.flatnonzero(out != masks)
+        while len(active):
+            cur = out[active]
             new = _bitsliced_round(cur, self.plan, self.r, self.full)
-            if np.array_equal(new, cur):
-                return new
-            cur = new
+            changed = new != cur
+            active = active[changed]
+            out[active] = new[changed]
+        return out
 
 
 class _CanonicalTables:
@@ -430,9 +451,11 @@ class _CanonicalSearch:
         """Advance `level` by one vertex; returns a percolating child instead
         when there is one (the level is then left as it was)."""
         children = self._children(self.level)
-        perc = self.kernel.closure(children) == self.kernel.full
-        if perc.any():
-            return int(children[np.argmax(perc)])
+        for start in range(0, len(children), _CLOSURE_CHUNK):
+            chunk = children[start : start + _CLOSURE_CHUNK]
+            perc = self.kernel.closure(chunk) == self.kernel.full
+            if perc.any():
+                return int(chunk[np.argmax(perc)])
         self.level = children[self.tables.canonicalize(children) == children]
         self.size += 1
         return None

@@ -1,6 +1,6 @@
-"""Digests of the two artifact sweeps, to compare two versions of percforge.
+"""Digests of the three artifact sweeps, to compare two versions of percforge.
 
-    PYTHONPATH=src python3 tests/artifact_sweeps.py [rank] [wsat]
+    PYTHONPATH=src python3 tests/artifact_sweeps.py [rank] [wsat] [search]
 
 Run from the root of a checkout (both sweeps by default).  Each sweep builds
 every document of its instance list in a fixed order and prints two sha256
@@ -14,6 +14,9 @@ document, and either digest changes when an artifact changes.
 * wsat: `build_wsat_grid(dims, r)` for every grid of at most 512 vertices
   (up to axis order) and 0 <= r <= 2d, then `build_wsat_hypercube(d, r)` for
   0 <= r <= d <= 8: 18,954 documents.
+* search: `exact_min(SearchConfig(GridSpec(dims), r)).to_json_doc()` for
+  every grid of at most 24 vertices (up to axis order) and 1 <= r <= 2d:
+  184 documents.
 
 The file is not collected by pytest (its name does not start with test_).
 """
@@ -32,7 +35,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from percforge.cli import _json_text  # noqa: E402
 from percforge.families import assemble_lower_bound  # noqa: E402
+from percforge.grid import GridSpec  # noqa: E402
 from percforge.saturation import build_wsat_grid, build_wsat_hypercube  # noqa: E402
+from percforge.search import SearchConfig, exact_min  # noqa: E402
 
 
 def rank_docs():
@@ -53,7 +58,15 @@ def wsat_docs():
             yield build_wsat_hypercube(d, r).to_json_doc()
 
 
-SWEEPS = {"rank": rank_docs, "wsat": wsat_docs}
+def search_docs():
+    import workloads
+
+    for dims in workloads.dims_up_to(24, prod):
+        for r in range(1, 2 * len(dims) + 1):
+            yield exact_min(SearchConfig(GridSpec(dims), r)).to_json_doc()
+
+
+SWEEPS = {"rank": rank_docs, "wsat": wsat_docs, "search": search_docs}
 
 
 def sweep(name: str) -> None:

@@ -138,3 +138,21 @@ def naive_primitive_int_row(row) -> tuple[int, ...]:
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
+
+
+def dims_up_to(limit, measure) -> list[tuple[int, ...]]:
+    """Non-decreasing side tuples with measure(dims) <= limit."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], min_side: int):
+        a = min_side
+        while True:
+            dims = prefix + (a,)
+            if measure(dims) > limit:
+                break
+            out.append(dims)
+            rec(dims, a)
+            a += 1
+
+    rec((), 2)
+    return out

@@ -34,23 +34,7 @@ from percforge.saturation import (
 from percforge.search import SearchConfig, canonical_form, exact_min
 from percforge.witnesses import build_r3, r3_target_size
 
-
-def _dims_up_to(limit, measure) -> list[tuple[int, ...]]:
-    """Non-decreasing side tuples with measure(dims) <= limit."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], min_side: int):
-        a = min_side
-        while True:
-            dims = prefix + (a,)
-            if measure(dims) > limit:
-                break
-            out.append(dims)
-            rec(dims, a)
-            a += 1
-
-    rec((), 2)
-    return out
+from naive import dims_up_to
 
 
 def _report(num: int, name: str, t0: float, budget: float) -> None:
@@ -95,7 +79,7 @@ def test_criterion_3_construction_exactness():
             assert verify_certificate(cert).ok, (d, r)
     from math import prod
 
-    for dims in _dims_up_to(512, prod):
+    for dims in dims_up_to(512, prod):
         for r in range(0, 2 * len(dims) + 1):
             cert = build_wsat_grid(dims, r)
             assert cert.num_base_edges == w_recurrence(dims, r), (dims, r)
@@ -105,7 +89,7 @@ def test_criterion_3_construction_exactness():
 
 def test_criterion_4_rank_certificates():
     t0 = time.time()
-    instances = _dims_up_to(256, grid_edge_count)
+    instances = dims_up_to(256, grid_edge_count)
     assert (2,) * 5 in instances  # Q5, all r
     assert (2,) * 6 in instances  # Q6
     assert (3, 3) in instances and (2, 3, 3) in instances

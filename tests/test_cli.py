@@ -465,6 +465,22 @@ def _writer_edge_cases():
         {"s": _ESCAPED_STRINGS, "t": ['"', "\\", "\n"], _ESCAPED_STRINGS[0]: "key"},
         ["0", 'x"y'], ["plain", 5], [7, "plain"], {"nested": {"deeper": [["0", "\u00e9"]]}},
         (1, 2), {"tuple": (1, [2, 3])}, {1: "int key"}, {"x": 1.5, "y": float("inf")},
+        # lists of records: the template path and every way out of it
+        [{"edge": 3, "center": 1, "labels": [0, 2]}],
+        [{"edge": e, "center": -e, "labels": [e, 2**64 + e, 0]} for e in range(2500)],
+        [{"a": 1, "b": True}, {"a": 2, "b": False}], [{"a": 1}, {"a": True}],
+        [{"a": 1, "b": None}], [{"a": 1, "b": 1.5}], [{"a": 1, "b": "s"}],
+        [{"a": 1, "l": [1, True]}], [{"a": 1, "l": [1, None]}], [{"a": 1, "l": (1, 2)}],
+        [{"a": 1, "l": [[1]]}], [{"a": 1, "l": ["1"]}],
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}], [{"a": 1}, {"a": 2, "b": 3}],
+        [{"a": 1, "b": 2}, {"a": 3}], [{"a": 1}, {}], [{}, {"a": 1}], [{1: 2}],
+        [{'k"é\\': 1, "x": [2, 3]}, {'k"é\\': 4, "x": [5, 6]}],
+        [{"100%": 1, "%d": [2, 3], "%%s": []}, {"100%": 4, "%d": [5, 6], "%%s": []}],
+        [{"edge": 1, "labels": []}, {"edge": 2, "labels": [3, 4]}],
+        [{"edge": 1, "labels": [3]}, {"edge": 2, "labels": [3, 4]}],
+        [{"e": 1, "l": []}, {"e": 2, "l": []}], [{"l": []}, {"l": []}],
+        {"a": {"b": [{"edge": 1, "labels": [2]}, {"edge": 3, "labels": [4]}]}},
+        [[{"edge": 1, "labels": [2]}], [{"edge": 3, "labels": []}]],
     ]
 
 

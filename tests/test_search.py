@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
 
-from percforge.bootstrap import percolates
+from percforge.bootstrap import closure, closure_mask, percolates
 from percforge.counts import DomainError, m_lower_hypercube
 from percforge.grid import GridSpec, VertexSet
 from percforge.search import (
@@ -141,7 +142,7 @@ def test_tables_agree_with_reference_canonicalization():
 
 
 def test_mask_kernel_matches_int_kernel():
-    from percforge.bootstrap import _bitsliced_round, closure_mask, infect_step_mask
+    from percforge.bootstrap import _bitsliced_round, infect_step_mask
 
     rng = random.Random(12)
     for dims in [(2, 2, 2), (3, 3), (2, 2, 2, 2), (3, 2, 2)]:
@@ -156,6 +157,24 @@ def test_mask_kernel_matches_int_kernel():
             for m, s, o in zip(masks, one_round.tolist(), out.tolist()):
                 assert infect_step_mask(spec, m, r) == s
                 assert closure_mask(spec, m, r) == o
+    # sparse masks on long thin grids take many rounds to settle, so masks
+    # leave the kernel's active set at many different rounds
+    for dims in [(2, 12), (3, 8), (2, 2, 6)]:
+        spec = GridSpec(dims)
+        kernel = _MaskKernel(spec, 2)
+        masks = [
+            sum(1 << v for v in rng.sample(range(spec.num_vertices), rng.randint(1, 6)))
+            for _ in range(300)
+        ]
+        arr = np.array(masks, dtype=np.uint64)
+        out = kernel.closure(arr)
+        assert arr.tolist() == masks
+        rounds = set()
+        for m, o in zip(masks, out.tolist()):
+            trace = closure(spec, VertexSet(spec, m), 2)
+            assert trace.final.mask == closure_mask(spec, m, 2) == o
+            rounds.add(len(trace.rounds))
+        assert len(rounds) >= 6, (dims, rounds)
 
 
 def test_canonicalization_preserves_percolation():
@@ -167,6 +186,34 @@ def test_canonicalization_preserves_percolation():
             c = canonical_form(spec, s)
             for r in (1, 2, 3):
                 assert percolates(spec, s, r) == percolates(spec, c, r)
+
+
+def _first_percolating_child(spec: GridSpec, r: int, k: int) -> int:
+    """The first child, in level order, of the canonical (k-1)-sets whose
+    closure (by the Python-int kernel) is the whole grid."""
+    search = _CanonicalSearch(spec, r, None)
+    assert search.decide_layer(k - 1)[0] is False
+    children = search._children(search.level).tolist()
+    return next(c for c in children if closure_mask(spec, c, r) == spec.full_vertex_mask)
+
+
+def test_chunked_witness_layer_returns_the_first_percolating_child(monkeypatch):
+    import percforge.search as search_module
+    from naive import dims_up_to
+
+    grids = dims_up_to(12, prod)
+    assert len(grids) == 20
+    for dims in grids:
+        spec = GridSpec(dims)
+        for r in range(1, 2 * spec.d + 1):
+            default = exact_min(SearchConfig(spec, r)).to_json_doc()
+            with monkeypatch.context() as m:
+                m.setattr(search_module, "_CLOSURE_CHUNK", 3)
+                result = exact_min(SearchConfig(spec, r))
+            assert result.to_json_doc() == default, (dims, r)
+            assert result.exact_m == len(result.witness.vertices.indices())
+            first = _first_percolating_child(spec, r, result.exact_m)
+            assert result.witness.vertices.mask == first, (dims, r)
 
 
 def test_exact_min_small_hypercubes():
