@@ -180,11 +180,9 @@ def _write_records(write, items: list, indent: str) -> bool:
         plan.append((get, length))
     record = "{\n" + ",\n".join(parts) + "\n" + inner + "}"
     sep = ",\n" + inner
-    head, batch, size = "[\n" + inner, "", 0
+    head = "[\n" + inner
     for start in range(0, len(items), _RECORD_BATCH):
         chunk = items[start : start + _RECORD_BATCH]
-        if len(chunk) != size:
-            batch, size = sep.join([record] * len(chunk)), len(chunk)
         columns = []
         for get, length in plan:
             column = list(map(get, chunk))
@@ -192,6 +190,7 @@ def _write_records(write, items: list, indent: str) -> bool:
                 columns.append(column)
             else:
                 columns += (map(itemgetter(j), column) for j in range(length))
+        batch = sep.join([record] * len(chunk))
         write(head + batch % tuple(chain.from_iterable(zip(*columns))))
         head = sep
     write("\n" + indent + "]")
