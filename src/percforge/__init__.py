@@ -7,7 +7,7 @@ for the lower bounds, simulation-verified percolating witnesses, and
 auditable exhaustion records from the symmetry-reduced exact search.
 """
 
-from .grid import EdgeId, EdgeLabel, GridError, GridSpec, VertexSet, parse_grid
+from .grid import GridError, GridSpec, VertexSet, parse_grid
 from .bootstrap import (
     InfectionState,
     InfectionTrace,
@@ -82,8 +82,6 @@ from .search import (
 from .audit import run_audit
 
 __all__ = [
-    "EdgeId",
-    "EdgeLabel",
     "GridError",
     "GridSpec",
     "VertexSet",

@@ -5,12 +5,17 @@ and are indexed row-major with axis 1 fastest.  Two vertices are adjacent
 when they differ by exactly 1 in exactly one coordinate.  The hypercube Q_d
 is the all-twos grid.
 
+An edge is its index in one global enumeration: axis-major, then by the
+index of its lower endpoint (the one with the smaller coordinate on the
+edge's axis).  ``edge_endpoints`` lists both endpoints of every index.
+
 Edges are labelled from both endpoints: the edge on axis i whose smaller
 endpoint coordinate is odd is "odd" and carries label 2i-1, otherwise it is
 "even" and carries label 2i.  At any vertex the (at most two) incident edges
-on one axis always receive the two different labels of that axis, so
-``resolve_label(v, j)`` is well defined.  On hypercubes every edge is odd,
-and the odd labels 1, 3, 5, ... correspond to the usual directions 1..d.
+on one axis always receive the two different labels of that axis, so the
+edge e(v, j) is well defined; ``label_to_edge_index(v, j)`` gives its index.
+On hypercubes every edge is odd, and the odd labels 1, 3, 5, ...
+correspond to the usual directions 1..d.
 
 Edge sets and vertex sets are dense bitsets (Python ints) over fixed global
 enumerations, so every serialized artifact is byte-stable across runs.
@@ -18,31 +23,17 @@ enumerations, so every serialized artifact is byte-stable across runs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 MAX_VERTICES = 1 << 28
 
 
 class GridError(ValueError):
     """Invalid grid specification, vertex, edge, or label."""
-
-
-class EdgeId(NamedTuple):
-    """Canonical edge handle: endpoint with the smaller coordinate on the
-    edge's axis, plus the 1-based axis."""
-
-    vertex: int
-    axis: int
-
-
-class EdgeLabel(NamedTuple):
-    """An edge as seen from one endpoint: label is in [2d]."""
-
-    vertex: int
-    label: int
 
 
 def _stride_embedding(base: int, stride: int, side: int, offset: int, length: int, total: int):
@@ -223,45 +214,6 @@ class GridSpec:
                 out.append(2 * axis - 1 if c % 2 == 1 else 2 * axis)
         return tuple(sorted(out))
 
-    def resolve_label(self, v: int, label: int) -> EdgeId:
-        """The unique edge e(v, label), or GridError if absent."""
-        self.check_vertex(v)
-        if not 1 <= label <= 2 * self.d:
-            raise GridError(f"label {label} out of range 1..{2 * self.d}")
-        axis = (label + 1) // 2
-        odd = label % 2 == 1
-        a = self.dims[axis - 1]
-        s = self.strides[axis - 1]
-        c = self.coord(v, axis)
-        if odd:
-            if c % 2 == 1 and c <= a - 1:
-                return EdgeId(v, axis)
-            if c % 2 == 0:
-                return EdgeId(v - s, axis)
-        else:
-            if c % 2 == 0 and c <= a - 1:
-                return EdgeId(v, axis)
-            if c % 2 == 1 and c >= 3:
-                return EdgeId(v - s, axis)
-        raise GridError(f"vertex {v} has no incident edge with label {label}")
-
-    def endpoints(self, e: EdgeId) -> tuple[int, int]:
-        v, axis = e
-        self.check_vertex(v)
-        if not 1 <= axis <= self.d:
-            raise GridError(f"axis {axis} out of range")
-        if self.coord(v, axis) >= self.dims[axis - 1]:
-            raise GridError(f"{e} is not a canonical edge: no room above on axis {axis}")
-        return v, v + self.strides[axis - 1]
-
-    def edge_label(self, e: EdgeId, endpoint: int) -> EdgeLabel:
-        u, w = self.endpoints(e)
-        if endpoint not in (u, w):
-            raise GridError(f"vertex {endpoint} is not an endpoint of {e}")
-        low = self.coord(e.vertex, e.axis)
-        label = 2 * e.axis - 1 if low % 2 == 1 else 2 * e.axis
-        return EdgeLabel(endpoint, label)
-
     # -- global edge enumeration (axis-major, then lower endpoint index) ----
 
     @cached_property
@@ -282,49 +234,30 @@ class GridSpec:
     def num_edges(self) -> int:
         return sum(self._axis_edge_counts)
 
-    def _edge_rank(self, e: EdgeId) -> int:
-        v, axis = e
-        rank = 0
-        s = 1
-        for i, a in enumerate(self.dims, start=1):
-            digit = (v // self.strides[i - 1]) % a
-            width = a - 1 if i == axis else a
-            rank += digit * s
-            s *= width
-        return self._axis_edge_offsets[axis - 1] + rank
-
     @cached_property
-    def edge_list(self) -> tuple[EdgeId, ...]:
-        """All edges, axis-major then by lower endpoint; position equals
-        edge_index."""
-        return tuple(self.edges())
+    def edge_endpoints(self) -> tuple[array, array]:
+        """The lower and the upper endpoint of every edge index.  The axis-q
+        edges start at the vertices whose coordinate on axis q is below a_q,
+        in index order, and end one axis-q stride above them.  Arrays, as a
+        list would also hold one int object per entry."""
+        lower = array("q")
+        upper = array("q")
+        for q, (a, s) in enumerate(zip(self.dims, self.strides), start=1):
+            starts = self.slab_indices(q, 0, a - 1)
+            lower.extend(starts)
+            upper.extend([v + s for v in starts])
+        return lower, upper
 
-    def edge_index(self, e: EdgeId) -> int:
-        self.endpoints(e)  # GridError unless e is a canonical edge
-        return self._edge_rank(e)
-
-    def edge_from_index(self, k: int) -> EdgeId:
+    def endpoints(self, k: int) -> tuple[int, int]:
+        """(lower, upper) endpoint of edge index k."""
         if not 0 <= k < self.num_edges:
             raise GridError(f"edge index {k} out of range for {self}")
-        return self.edge_list[k]
+        lower, upper = self.edge_endpoints
+        return lower[k], upper[k]
 
-    @cached_property
-    def _label_table(self) -> list[int]:
-        """Flat lookup: vertex * 2d + (label - 1) -> edge index, or -1.
-        `label_to_edge_index` gives the same answers without building it, and
-        is what a few lookups on a short-lived spec should use.  Both stay
-        because certificate replay tests incidence with one slice of a
-        vertex's whole row, which the formula would answer with 2d calls."""
-        width = 2 * self.d
-        table = [-1] * (self.num_vertices * width)
-        for axis, (a, s) in enumerate(zip(self.dims, self.strides), start=1):
-            for c in range(a - 1):  # the edges from coordinate c + 1 to c + 2
-                col = 2 * axis - 2 if c % 2 == 0 else 2 * axis - 1  # label - 1
-                edges = self._edge_slab(axis, axis, c, 1)
-                for v, k in zip(self.slab_indices(axis, c, 1), edges):
-                    table[v * width + col] = k
-                    table[(v + s) * width + col] = k
-        return table
+    def edges_in_order(self) -> range:
+        """Every edge index, in order."""
+        return range(self.num_edges)
 
     @cached_property
     def _label_axes(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -354,17 +287,6 @@ class GridSpec:
         if not 0 <= low <= a - 2:
             return -1
         return off + v - (c - low) * s - v // (s * a) * s
-
-    def edges(self) -> Iterator[EdgeId]:
-        for axis in range(1, self.d + 1):
-            s = self.strides[axis - 1]
-            a = self.dims[axis - 1]
-            for v in range(self.num_vertices):
-                if (v // s) % a != a - 1:
-                    yield EdgeId(v, axis)
-
-    def edges_in_order(self) -> list[EdgeId]:
-        return list(self.edge_list)
 
     # -- bitset plumbing for the infection kernel ---------------------------
 

@@ -135,7 +135,7 @@ class ExplicitGraph:
 
     @classmethod
     def from_grid(cls, spec: GridSpec) -> "ExplicitGraph":
-        return cls(spec.num_vertices, tuple(spec.endpoints(e) for e in spec.edges_in_order()))
+        return cls(spec.num_vertices, tuple(zip(*spec.edge_endpoints)))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.num_vertices
@@ -158,16 +158,20 @@ class WsatOracleResult:
 
 
 def verify_certificate(cert: SaturationCertificate) -> CertCheck:
-    """Replay a certificate, checking coverage and every star witness."""
+    """Replay a certificate, checking coverage and every star witness.
+
+    A vertex lies on an edge exactly when it is one of the edge's two
+    endpoints, so comparing the center with both entries of the endpoint
+    table is the incidence test.  It also keeps every later lookup inside
+    the grid: no out-of-range center, negative or not, equals an endpoint.
+    """
     spec = cert.spec
     ne = spec.num_edges
     s = cert.star_size
     if s < 1:
         return CertCheck(False, None, "star size must be >= 1")
-    # read the grid's table once: e(v, j) is label_table[v * width + j - 1],
-    # so a vertex lies on an edge exactly when its row of the table names it
-    n = spec.num_vertices
-    label_table = spec._label_table
+    lower, upper = spec.edge_endpoints
+    label_edge = spec.label_to_edge_index
     width = 2 * spec.d
     present = bytearray(ne)
     for e in cert.base_edges:
@@ -182,15 +186,14 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
         if present[add.edge]:
             return CertCheck(False, i, f"edge {add.edge} already present")
         center = add.center
-        # the range check first: a negative center would wrap in the slice
-        if not (0 <= center < n and add.edge in label_table[center * width : (center + 1) * width]):
+        if center != lower[add.edge] and center != upper[add.edge]:
             return CertCheck(False, i, f"center {center} not on edge {add.edge}")
         if len(add.labels) != s - 1 or len(set(add.labels)) != len(add.labels):
             return CertCheck(False, i, f"witness needs {s - 1} distinct labels")
         for j in add.labels:
             if not 1 <= j <= width:
                 return CertCheck(False, i, f"label {j} out of range")
-            other = label_table[center * width + j - 1]
+            other = label_edge(center, j)
             if other < 0:
                 return CertCheck(False, i, f"label {j} does not exist at {center}")
             if not present[other]:
@@ -225,7 +228,7 @@ def greedy_saturate(
     scan = list(order) if order is not None else list(range(ne))
     if sorted(scan) != list(range(ne)):
         raise ValueError("order must be a permutation of all edge indices")
-    endpoints = [spec.endpoints(e) for e in spec.edges_in_order()]
+    lower, upper = spec.edge_endpoints
     present = 0
     deg = [0] * spec.num_vertices
     base = sorted(set(base_edges))
@@ -233,9 +236,8 @@ def greedy_saturate(
         if not 0 <= e < ne:
             raise GridError(f"base edge {e} out of range")
         present |= 1 << e
-        u, v = endpoints[e]
-        deg[u] += 1
-        deg[v] += 1
+        deg[lower[e]] += 1
+        deg[upper[e]] += 1
     need = star_size - 1
     additions: list[StarWitness] = []
     while True:
@@ -243,7 +245,7 @@ def greedy_saturate(
         for e in scan:
             if (present >> e) & 1:
                 continue
-            u, v = endpoints[e]
+            u, v = lower[e], upper[e]
             center = u if deg[u] >= need else (v if deg[v] >= need else None)
             if center is not None:
                 chosen = (e, center)
@@ -254,9 +256,8 @@ def greedy_saturate(
         labels = _first_present_labels(spec, present, center, need)
         additions.append(StarWitness(e, center, labels))
         present |= 1 << e
-        u, v = endpoints[e]
-        deg[u] += 1
-        deg[v] += 1
+        deg[lower[e]] += 1
+        deg[upper[e]] += 1
     if present == (1 << ne) - 1:
         return SaturationCertificate(spec, star_size, tuple(base), tuple(additions))
     frontier = tuple(e for e in range(ne) if not (present >> e) & 1)
@@ -329,11 +330,10 @@ def brute_force_wsat(
 def derived_initial_set(spec: GridSpec, edges: Iterable[int], r: int) -> VertexSet:
     """Vertices whose degree in the subgraph reaches min(r, full degree)."""
     deg = [0] * spec.num_vertices
-    order = spec.edges_in_order()
+    lower, upper = spec.edge_endpoints
     for e in set(edges):
-        u, v = spec.endpoints(order[e])
-        deg[u] += 1
-        deg[v] += 1
+        deg[lower[e]] += 1
+        deg[upper[e]] += 1
     picked = [
         v for v in spec.vertices() if deg[v] >= min(r, len(spec.incident_labels(v)))
     ]
@@ -356,7 +356,7 @@ def _all_edge_parts(spec: GridSpec) -> _Parts:
 
 
 def _edgeless_parts(spec: GridSpec) -> _Parts:
-    return [], [(k, e.vertex, ()) for k, e in enumerate(spec.edge_list)]
+    return [], [(k, u, ()) for k, u in enumerate(spec.edge_endpoints[0])]
 
 
 def _cube_parts(d: int, r: int) -> _Parts:

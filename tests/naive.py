@@ -27,6 +27,34 @@ def naive_edges(dims: tuple[int, ...]) -> set[frozenset[tuple[int, ...]]]:
     return out
 
 
+def naive_edge_endpoints(dims: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every edge as (lower, upper) vertex positions in `naive_vertices`
+    order, listed axis by axis and, within an axis, by the lower endpoint;
+    the upper endpoint is the lower one moved up by 1 on the edge's axis."""
+    verts = naive_vertices(dims)
+    index = {c: i for i, c in enumerate(verts)}
+    out = []
+    for i in range(len(dims)):
+        for c in verts:
+            if c[i] < dims[i]:
+                out.append((index[c], index[c[:i] + (c[i] + 1,) + c[i + 1 :]]))
+    return out
+
+
+def naive_label_table(dims: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """(vertex position, label) -> edge position in `naive_edge_endpoints`,
+    labelling each edge from scratch by the odd/even rule at both ends."""
+    verts = naive_vertices(dims)
+    table = {}
+    for k, (u, w) in enumerate(naive_edge_endpoints(dims)):
+        axis = next(i for i in range(len(dims)) if verts[u][i] != verts[w][i]) + 1
+        label = 2 * axis - 1 if verts[u][axis - 1] % 2 == 1 else 2 * axis
+        for v in (u, w):
+            assert (v, label) not in table, "two edges share a label at a vertex"
+            table[v, label] = k
+    return table
+
+
 def naive_neighbors(dims: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
     out = []
     for i in range(len(dims)):

@@ -2,11 +2,30 @@ import random
 
 import pytest
 
-from percforge.grid import EdgeId, GridError, GridSpec, VertexSet, parse_grid
+from percforge.grid import GridError, GridSpec, VertexSet, parse_grid
 
-from naive import naive_edges, naive_incident_labels, naive_neighbors, naive_vertices
+from naive import (
+    naive_edge_endpoints,
+    naive_edges,
+    naive_incident_labels,
+    naive_label_table,
+    naive_neighbors,
+    naive_vertices,
+)
 
 SMALL_GRIDS = [(2,), (3,), (4,), (2, 2), (3, 3), (3, 2), (2, 3, 2), (2, 2, 2), (3, 3, 2), (5, 4)]
+# 1-D, hypercubes, mixed sides and a 4-axis grid
+LABEL_GRIDS = [(2,), (7,), (2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (2, 5), (4, 3, 2), (3, 2, 4, 5)]
+
+
+def _labels_naming(spec, v, k):
+    """The labels j with e(v, j) = edge k."""
+    return [j for j in range(1, 2 * spec.d + 1) if spec.label_to_edge_index(v, j) == k]
+
+
+def _naive_lower_and_axis(spec):
+    """Every edge of the coordinate oracle as (lower endpoint, 1-based axis)."""
+    return [(u, spec.strides.index(w - u) + 1) for u, w in naive_edge_endpoints(spec.dims)]
 
 
 def test_index_coords_roundtrip():
@@ -64,43 +83,40 @@ def test_incident_labels_examples():
 
 def test_edge_label_examples():
     path3 = GridSpec((3,))
-    e12 = EdgeId(path3.index_of((1,)), 1)
-    e23 = EdgeId(path3.index_of((2,)), 1)
-    assert path3.edge_label(e12, path3.index_of((1,))).label == 1
-    assert path3.edge_label(e12, path3.index_of((2,))).label == 1
-    assert path3.edge_label(e23, path3.index_of((3,))).label == 2
+    v1, v2, v3 = (path3.index_of((c,)) for c in (1, 2, 3))
+    ends = naive_edge_endpoints(path3.dims)
+    e12, e23 = ends.index((v1, v2)), ends.index((v2, v3))
+    assert _labels_naming(path3, v1, e12) == [1]
+    assert _labels_naming(path3, v2, e12) == [1]
+    assert _labels_naming(path3, v3, e23) == [2]
     qd = GridSpec.hypercube(4)
-    for e in qd.edges():
-        u, w = qd.endpoints(e)
-        assert qd.edge_label(e, u).label % 2 == 1
-        assert qd.edge_label(e, w).label % 2 == 1
-    with pytest.raises(GridError):
-        path3.edge_label(e12, path3.index_of((3,)))
+    for k, (u, w) in enumerate(naive_edge_endpoints(qd.dims)):
+        for v in (u, w):
+            labels = _labels_naming(qd, v, k)
+            assert len(labels) == 1 and labels[0] % 2 == 1
+    assert _labels_naming(path3, v3, e12) == []
 
 
 def test_label_edge_roundtrip():
     for dims in SMALL_GRIDS:
         spec = GridSpec(dims)
+        table = naive_label_table(dims)
         for v in spec.vertices():
             for j in spec.incident_labels(v):
-                e = spec.resolve_label(v, j)
-                assert spec.edge_label(e, v) == (v, j)
+                assert spec.label_to_edge_index(v, j) == table[v, j]
             absent = set(range(1, 2 * spec.d + 1)) - set(spec.incident_labels(v))
             for j in absent:
-                with pytest.raises(GridError):
-                    spec.resolve_label(v, j)
+                assert spec.label_to_edge_index(v, j) == -1
 
 
 def test_each_edge_carries_two_labels():
     for dims in SMALL_GRIDS:
         spec = GridSpec(dims)
-        for e in spec.edges():
-            u, w = spec.endpoints(e)
-            lu = spec.edge_label(e, u)
-            lw = spec.edge_label(e, w)
-            assert lu.label == lw.label  # same parity class seen from both ends
-            assert spec.resolve_label(u, lu.label) == e
-            assert spec.resolve_label(w, lw.label) == e
+        for k, (u, w) in enumerate(naive_edge_endpoints(dims)):
+            lu = _labels_naming(spec, u, k)
+            lw = _labels_naming(spec, w, k)
+            assert len(lu) == 1
+            assert lu == lw  # same parity class seen from both ends
 
 
 def test_degree_sum_and_edge_count():
@@ -117,56 +133,52 @@ def test_degree_sum_and_edge_count():
 def test_edge_enumeration_is_a_bijection():
     for dims in SMALL_GRIDS:
         spec = GridSpec(dims)
-        order = spec.edges_in_order()
-        assert len(order) == spec.num_edges
-        for k, e in enumerate(order):
-            assert spec.edge_index(e) == k
-            assert spec.edge_from_index(k) == e
-            # enumeration position equals the documented axis-major,
-            # lower-endpoint mixed-radix rank
-            assert spec._edge_rank(e) == k
-        # axis-major: axis numbers are non-decreasing along the enumeration
-        axes = [e.axis for e in order]
-        assert axes == sorted(axes)
+        order = [spec.endpoints(k) for k in spec.edges_in_order()]
+        assert len(order) == len(set(order)) == spec.num_edges
+        assert {frozenset(map(spec.coords_of, e)) for e in order} == naive_edges(dims)
+        # axis-major, then by lower endpoint
+        keys = [(spec.strides.index(w - u) + 1, u) for u, w in order]
+        assert keys == sorted(keys)
 
 
-def test_label_table_matches_resolve():
-    for dims in SMALL_GRIDS:
+def test_edge_endpoints_match_naive():
+    for dims in SMALL_GRIDS + LABEL_GRIDS:
         spec = GridSpec(dims)
-        for v in spec.vertices():
-            present = set(spec.incident_labels(v))
-            for j in range(1, 2 * spec.d + 1):
-                idx = spec.label_to_edge_index(v, j)
-                if j in present:
-                    assert idx == spec.edge_index(spec.resolve_label(v, j))
-                else:
-                    assert idx == -1
+        expect = naive_edge_endpoints(dims)
+        lower, upper = spec.edge_endpoints
+        assert list(zip(lower, upper)) == expect
+        # the form perfbench/test_checks.py compares with
+        assert [spec.endpoints(e) for e in spec.edges_in_order()] == expect
+        for bad in (-1, spec.num_edges):
+            with pytest.raises(GridError):
+                spec.endpoints(bad)
+    assert [list(ends) for ends in GridSpec.hypercube(0).edge_endpoints] == [[], []]
 
 
 @pytest.mark.parametrize(
-    "dims", [(2,), (7,), (2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (2, 5), (4, 3, 2), (3, 2, 4, 5)]
+    "dims", LABEL_GRIDS + [dims for dims in SMALL_GRIDS if dims not in LABEL_GRIDS]
 )
 def test_label_lookup_matches_label_table(dims):
-    # the stride formula against the table that certificate replay reads:
-    # 1-D, hypercubes, mixed sides and a 4-axis grid, absent labels included
+    # the stride formula against a table labelled from coordinates, absent
+    # labels included
     spec = GridSpec(dims)
-    width = 2 * spec.d
-    table = spec._label_table
+    table = naive_label_table(dims)
     for v in spec.vertices():
-        for j in range(1, width + 1):
-            assert spec.label_to_edge_index(v, j) == table[v * width + j - 1], (v, j)
+        for j in range(1, 2 * spec.d + 1):
+            assert spec.label_to_edge_index(v, j) == table.get((v, j), -1), (v, j)
 
 
 def test_edge_enumeration_golden():
     # the global enumeration is a serialization contract: certificates
-    # reference edges by these positions
-    spec = GridSpec((3, 2))
-    assert [tuple(e) for e in spec.edges_in_order()] == [
+    # reference edges by these positions; each edge is (lower endpoint, axis)
+    def lower_and_axis(spec):
+        return [(u, spec.strides.index(w - u) + 1) for u, w in zip(*spec.edge_endpoints)]
+
+    assert lower_and_axis(GridSpec((3, 2))) == [
         (0, 1), (1, 1), (3, 1), (4, 1),
         (0, 2), (1, 2), (2, 2),
     ]
-    q3 = GridSpec.hypercube(3)
-    assert [tuple(e) for e in q3.edges_in_order()] == [
+    assert lower_and_axis(GridSpec.hypercube(3)) == [
         (0, 1), (2, 1), (4, 1), (6, 1),
         (0, 2), (1, 2), (4, 2), (5, 2),
         (0, 3), (1, 3), (2, 3), (3, 3),
@@ -269,10 +281,10 @@ def test_slab_edge_indices_match_coordinate_round_trip():
     # its own axis and numbers the others as the dropped-axis grid does
     for dims in SMALL_GRIDS + [(4, 3, 5), (2, 5, 3, 2)]:
         spec = GridSpec(dims)
-        position = {e: k for k, e in enumerate(spec.edge_list)}
+        position = {e: k for k, e in enumerate(_naive_lower_and_axis(spec))}
 
         def parent_edge(coords, axis):
-            return position[EdgeId(spec.index_of(coords), axis)]
+            return position[spec.index_of(coords), axis]
 
         for axis in range(1, spec.d + 1):
             a = dims[axis - 1]
@@ -281,14 +293,14 @@ def test_slab_edge_indices_match_coordinate_round_trip():
                     if length > 1:
                         sub = GridSpec(dims[: axis - 1] + (length,) + dims[axis:])
                         expect = []
-                        for u, q in sub.edge_list:
+                        for u, q in _naive_lower_and_axis(sub):
                             coords = list(sub.coords_of(u))
                             coords[axis - 1] += offset
                             expect.append(parent_edge(coords, q))
                     elif spec.d > 1:
                         sub = GridSpec(dims[: axis - 1] + dims[axis:])
                         expect = []
-                        for u, q in sub.edge_list:
+                        for u, q in _naive_lower_and_axis(sub):
                             coords = list(sub.coords_of(u))
                             coords.insert(axis - 1, offset + 1)
                             expect.append(parent_edge(coords, q if q < axis else q + 1))
@@ -306,16 +318,20 @@ def test_slab_edge_indices_match_coordinate_round_trip():
 
 def test_edge_index_rejects_non_edges():
     spec = GridSpec((3, 2, 4))
-    top = spec.index_of((3, 1, 1))  # top coordinate of axis 1
-    for bad in [
-        EdgeId(-1, 1),
-        EdgeId(spec.num_vertices, 1),
-        EdgeId(0, 0),
-        EdgeId(0, spec.d + 1),
-        EdgeId(top, 1),
-        EdgeId(spec.index_of((1, 2, 1)), 2),
-        EdgeId(spec.index_of((2, 1, 4)), 3),
-    ]:
+    for bad in (-1, spec.num_edges):
         with pytest.raises(GridError):
-            spec.edge_index(bad)
-    assert spec.edge_index(EdgeId(top, 2)) == spec.edge_list.index(EdgeId(top, 2))
+            spec.endpoints(bad)
+    # no edge index joins a vertex outside the grid, or one at the top of an
+    # axis, to the vertex one stride above it
+    top = spec.index_of((3, 1, 1))  # top coordinate of axis 1
+    pairs = set(zip(*spec.edge_endpoints))
+    for v, axis in [
+        (-1, 1),
+        (spec.num_vertices, 1),
+        (top, 1),
+        (spec.index_of((1, 2, 1)), 2),
+        (spec.index_of((2, 1, 4)), 3),
+    ]:
+        assert (v, v + spec.strides[axis - 1]) not in pairs
+    up = (top, top + spec.strides[1])
+    assert spec.endpoints(naive_edge_endpoints(spec.dims).index(up)) == up

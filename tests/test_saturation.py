@@ -19,6 +19,8 @@ from percforge.saturation import (
     verify_certificate,
 )
 
+from naive import naive_edge_endpoints
+
 
 def test_build_hypercube_base_cases():
     c = build_wsat_hypercube(3, 3)
@@ -52,8 +54,10 @@ def test_build_hypercube_split_structure():
     for d, r in [(3, 2), (4, 2), (5, 3)]:
         c = build_wsat_hypercube(d, r)
         spec = c.spec
+        ends = naive_edge_endpoints(spec.dims)
         for e in c.base_edges:
-            assert spec.edge_from_index(e).axis < d
+            u, w = ends[e]
+            assert spec.strides.index(w - u) + 1 < d
 
 
 def test_build_grid_sizes_and_verify():
@@ -137,17 +141,20 @@ def _replace_first(c, **changes):
 
 
 def _off_edge_center(c):
-    u, v = c.spec.endpoints(c.spec.edge_from_index(c.additions[0].edge))
+    u, v = c.spec.endpoints(c.additions[0].edge)
     return min(w for w in c.spec.vertices() if w not in (u, v))
 
 
 def _lower_end(c):
-    return c.spec.endpoints(c.spec.edge_from_index(c.additions[0].edge))[0]
+    return c.spec.endpoints(c.additions[0].edge)[0]
 
 
 def _own_label(c):
-    first = c.additions[0]
-    return c.spec.edge_label(c.spec.edge_from_index(first.edge), first.center).label
+    # the odd/even rule: label 2i - 1 when the lower endpoint's axis-i
+    # coordinate is odd, else 2i
+    u, w = c.spec.endpoints(c.additions[0].edge)
+    axis = c.spec.strides.index(w - u) + 1
+    return 2 * axis - 1 if c.spec.coord(u, axis) % 2 == 1 else 2 * axis
 
 
 _REPLAY_REJECTIONS = {
@@ -207,6 +214,17 @@ def test_verify_reports_each_rejection(case):
     assert c.spec.num_edges == 12 and c.star_size == 3
     bad, index, reason = _REPLAY_REJECTIONS[case](c)
     assert verify_certificate(bad) == CertCheck(False, index, reason)
+
+
+def test_verify_accepts_center_on_upper_endpoint():
+    # built certificates centre every addition on the lower endpoint, so
+    # this is the case that tells a replay testing only that one apart:
+    # path 1-2-3, base {2,3}, then {1,2} added as a 2-star at vertex 2,
+    # whose other edge {2,3} carries label 2
+    spec = GridSpec((3,))
+    cert = SaturationCertificate(spec, 2, (1,), (StarWitness(0, 1, (2,)),))
+    assert spec.endpoints(0) == (0, 1)
+    assert verify_certificate(cert) == CertCheck(True)
 
 
 def test_greedy_full_base_is_trivial():
