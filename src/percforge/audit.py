@@ -19,7 +19,7 @@ from .counts import (
 )
 from .families import assemble_lower_bound
 from .grid import GridSpec
-from .linalg import build_support_subspace
+from .linalg import CertificationError, build_support_subspace
 from .saturation import (
     SaturationCertificate,
     brute_force_wsat,
@@ -123,11 +123,14 @@ def run_audit(deep: bool = False) -> dict:
         )
         row("threshold3-two-sided", f"Q{d}", True, two_sided)
 
-    # 6. support subspace certification
+    # 6. support subspace certification: a failed one is a failed row
     ok = True
     for k in range(1, 11):
         for l in range(0, min(k, 5) + 1):
-            build_support_subspace(k, l).certify()
+            try:
+                build_support_subspace(k, l).certify()
+            except CertificationError:
+                ok = False
     row("support-certification", "k<=10, l<=5", True, ok)
 
     # 7. negative control: a tampered certificate must be rejected

@@ -9,22 +9,30 @@ additions of any weakly saturated subgraph then shows its edge count is at
 least dim span {f_e} = w, so wsat(G, S_{r+1}) >= w, and dividing by r
 bounds the minimum percolating set.
 
-Families are built by the same recursions as the saturated graphs:
+Families are built by the same recursions as the saturated graphs, in
+one coordinate convention: subspace coordinate j - 1 is grid label j.
 
-* hypercube: split off the last direction; the bottom copy keeps the
-  support subspace with the last coordinate eliminated against a pivot
-  member z, the top copy keeps its plain projection.  Cross edges get the
-  unique combination that kills the z-relation at their bottom endpoint.
 * grid: peel the highest axis of length >= 3.  The shortened copy reuses
   the subspace unchanged; the dropped-axis copy gets the projection after
   eliminating the label that cannot occur on the boundary; cross edges
   into the low-degree set Y get fresh basis vectors, other cross edges get
   the killing combination for a member supported inside the boundary
   vertex's label set.
+* hypercube (all sides 2): every edge is odd, so the subspace is first
+  compressed onto the d odd labels.  Then split off the last axis; the
+  bottom copy keeps the subspace with the last coordinate eliminated
+  against a pivot member z, the top copy keeps its plain projection.  Cross
+  edges get the unique combination that kills the z-relation at their
+  bottom endpoint.
 
-Every derived subspace is re-certified (dimension and support threshold)
-before use.  The finished family is checked once per defining property, by
-`verify_family`: (a) over a basis of the members supported inside each
+Only the root subspace is certified, once per build and once per recheck.
+The subspaces derived from it only steer the construction, so they are
+reduced and their dimension checked, nothing more: `verify_family` checks
+every relation and the rank of the finished family against the root, so
+certifying them would prove nothing more.  A broken one still fails
+loudly, in `find_support_vector` (no one-dimensional solution, or the wrong
+support) or at `verify_family`.  The finished family is checked once per
+defining property, by `verify_family`: (a) over a basis of the members supported inside each
 vertex's label set, (b) by one exact elimination.  Checking (a) over that
 basis covers every (r+1)-star because the subspace has codimension r and
 every nonzero member has support >= r+1 (circuit spanning).  Fix r labels
@@ -74,45 +82,35 @@ EdgeVector = dict[int, Fraction]
 @dataclass(frozen=True)
 class EdgeVectorFamily:
     """Vectors indexed by the grid's global edge enumeration, each a
-    sparse `EdgeVector`; `to_json_doc` writes them dense.
-
-    label_mode is "grid" (subspace coordinates are the 2d odd/even labels)
-    or "direction" (hypercube only: coordinates are the d directions).
+    sparse `EdgeVector`; `to_json_doc` writes them dense.  The subspace
+    coordinates are the 2d odd/even grid labels: coordinate j - 1 is label
+    j (the file's `"label_mode": "grid"`).
     """
 
     spec: GridSpec
     r: int
-    label_mode: str
     target_dim: int
     vectors: tuple[EdgeVector, ...]
     subspace: SupportSubspace
 
     def __post_init__(self) -> None:
-        if self.label_mode not in ("grid", "direction"):
-            raise FamilyError(f"unknown label mode {self.label_mode!r}")
-        if self.label_mode == "direction" and not self.spec.is_hypercube:
-            raise FamilyError("direction labels only apply to hypercubes")
         if len(self.vectors) != self.spec.num_edges:
             raise FamilyError("need exactly one vector per edge")
 
     @property
     def num_labels(self) -> int:
-        """Subspace coordinates: the 2d odd/even labels or the d directions."""
-        return self.spec.d if self.label_mode == "direction" else 2 * self.spec.d
+        """Subspace coordinates: the 2d odd/even labels."""
+        return 2 * self.spec.d
 
     def incident_coords(self, v: int) -> tuple[int, ...]:
         """0-based subspace coordinates whose edge exists at v."""
-        if self.label_mode == "direction":
-            return tuple(range(self.spec.d))
         return tuple(j - 1 for j in self.spec.incident_labels(v))
 
     def edge_at(self, v: int, coord: int) -> int:
         """Global index of e(v, coord) for a 0-based subspace coordinate."""
-        # hypercube edges are all odd: direction c carries label 2c + 1
-        label = 2 * coord + 1 if self.label_mode == "direction" else coord + 1
-        idx = self.spec.label_to_edge_index(v, label)
+        idx = self.spec.label_to_edge_index(v, coord + 1)
         if idx < 0:
-            raise FamilyError(f"no edge with label {label} at vertex {v}")
+            raise FamilyError(f"no edge with label {coord + 1} at vertex {v}")
         return idx
 
 
@@ -130,7 +128,7 @@ class RankCertificate:
             "kind": "rank-certificate",
             "spec": str(fam.spec),
             "r": fam.r,
-            "label_mode": fam.label_mode,
+            "label_mode": "grid",
             "ambient": fam.subspace.ambient,
             "subspace_basis": [[str(x) for x in row] for row in fam.subspace.basis],
             "target_dim": fam.target_dim,
@@ -267,15 +265,14 @@ class _SupportSolver:
 
 
 def _derived(rows, keep: Sequence[int], expect_dim: int) -> SupportSubspace:
-    """The span of `rows` read on the coordinates `keep`, reduced, checked to
-    have dimension `expect_dim` and certified."""
+    """The span of `rows` read on the coordinates `keep`, reduced and checked
+    to have dimension `expect_dim`; not certified (module docstring)."""
     reduced = reduce_rows([[row[c] for c in keep] for row in rows], len(keep))
     derived = SupportSubspace(len(keep), tuple(reduced))
     if derived.dim != expect_dim:
         raise CertificationError(
             f"derived space has dimension {derived.dim}, expected {expect_dim}"
         )
-    derived.certify()
     return derived
 
 
@@ -317,7 +314,7 @@ def _lex_first_superset(universe, required: int, size: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# hypercube family (direction coordinates)
+# hypercube family (coordinate c is the odd label 2c + 1)
 
 
 def _cube_family(
@@ -347,7 +344,7 @@ def _cube_family(
     # cross edges kill the z-relation at their bottom endpoint
     target = _lex_first_superset(range(d), d - 1, r + 1)
     terms = solver.killing_terms(space, target, d - 1)
-    for v in range(1 << (d - 1)):  # the bottom copy: direction d goes up from v
+    for v in range(1 << (d - 1)):  # the bottom copy: axis d goes up from v
         star = [(spec.label_to_edge_index(v, 2 * c + 1), x) for c, x in terms]
         vectors[spec.label_to_edge_index(v, 2 * d - 1)] = _combination(vectors, star)
     assert None not in vectors
@@ -450,16 +447,11 @@ def _grid_family(
 
 
 def build_edge_vectors_hypercube(d: int, r: int) -> EdgeVectorFamily:
-    """Direction-coordinate family for Q_d with span dimension
+    """The grid family of Q_d = (2,) * d, with span dimension
     wsat_hypercube(d, r); both defining properties are verified."""
     if not d >= r >= 0:
         raise DomainError(f"need d >= r >= 0, got d={d}, r={r}")
-    spec = GridSpec.hypercube(d)
-    space = build_support_subspace(d, r)
-    vectors = _cube_family(spec, r, space, _SupportSolver())
-    family = EdgeVectorFamily(spec, r, "direction", wsat_hypercube(d, r), tuple(vectors), space)
-    verify_family(family)
-    return family
+    return build_edge_vectors_grid((2,) * d, r)
 
 
 def build_edge_vectors_grid(dims, r: int) -> EdgeVectorFamily:
@@ -471,18 +463,20 @@ def build_edge_vectors_grid(dims, r: int) -> EdgeVectorFamily:
 
 
 def _unverified_grid_family(dims, r: int) -> EdgeVectorFamily:
+    """The family of the grid `dims` (no axes is the one-vertex grid) over
+    the root subspace, which is certified here and nowhere else in a
+    build."""
     dims = tuple(int(a) for a in dims)
-    if not dims:
-        raise DomainError("grid needs at least one axis")
     if any(a < 2 for a in dims):
         raise DomainError(f"all sides must be >= 2, got {dims}")
     if not 0 <= r <= 2 * len(dims):
         raise DomainError(f"need 0 <= r <= 2d, got r={r}")
     spec = GridSpec(dims)
     space = build_support_subspace(2 * len(dims), r)
+    space.certify()
     vectors, w = _grid_family(spec, r, space, _SupportSolver())
     assert w == w_recurrence(dims, r)
-    return EdgeVectorFamily(spec, r, "grid", w, tuple(vectors), space)
+    return EdgeVectorFamily(spec, r, w, tuple(vectors), space)
 
 
 def verify_family(family: EdgeVectorFamily) -> tuple[int, tuple[int, ...]]:
@@ -588,12 +582,12 @@ def assemble_lower_bound(dims, r: int) -> RankCertificate:
     wsat >= rank, m >= ceil(rank/r).
 
     `verify_family` is the one verification pass: its basis relation pass
-    implies every star relation, because the Vandermonde subspace has
-    codimension r by construction and support >= r+1 (certified when it is
-    built, and a theorem besides), and its single exact elimination
+    implies every star relation, because the root Vandermonde subspace has
+    codimension r by construction and support >= r+1 (a theorem, certified
+    once by `_unverified_grid_family`), and its single exact elimination
     checks rank = w and gives the pivot edges stored in the certificate.
-    Ranking the family again or checking the stars one by one would prove
-    nothing new.
+    Ranking the family again, checking the stars one by one or certifying
+    a derived subspace would prove nothing new.
     """
     dims = tuple(int(a) for a in dims)
     if not 1 <= r <= 2 * len(dims):
@@ -608,14 +602,17 @@ def rank_certificate_from_json_doc(doc: dict) -> RankCertificate:
     """Load a rank certificate document written by `to_json_doc`.
 
     Malformed input raises ValueError (FamilyError and GridError included)
-    with a one-line reason: a missing field, wrong types, a vector entry
-    not written as an integer or p/q, a vector not of length target_dim, a
-    basis row not of length ambient, or r outside 1..label count.  Nothing
-    is verified here.
+    with a one-line reason: a missing field, wrong types, a label_mode
+    other than "grid", a vector entry not written as an integer or p/q, a
+    vector not of length target_dim, a basis row not of length ambient, or
+    r outside 1..label count.  Nothing is verified here.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "rank-certificate":
         raise ValueError("not a rank certificate document")
     spec = parse_grid(_json_field(doc, "spec"))
+    label_mode = _json_field(doc, "label_mode")
+    if label_mode != "grid":
+        raise ValueError(f'label_mode must be "grid", got {label_mode!r:.40}')
     ambient = _json_int(_json_field(doc, "ambient"), "ambient")
     basis = []
     for row in _json_list(_json_field(doc, "subspace_basis"), "subspace_basis"):
@@ -630,7 +627,7 @@ def rank_certificate_from_json_doc(doc: dict) -> RankCertificate:
         for vec in _json_list(_json_field(doc, "vectors"), "vectors")
     )
     r = _json_int(_json_field(doc, "r"), "r")
-    family = EdgeVectorFamily(spec, r, _json_field(doc, "label_mode"), target_dim, vectors, space)
+    family = EdgeVectorFamily(spec, r, target_dim, vectors, space)
     if not 1 <= family.r <= family.num_labels:
         raise ValueError(f"r = {family.r} is outside 1..{family.num_labels}")
     pivots = _json_list(_json_field(doc, "pivot_edges"), "pivot_edges")

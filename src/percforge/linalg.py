@@ -241,8 +241,10 @@ class SupportSubspace:
         return [self.member(c) for c in coeffs]
 
 
-def build_support_subspace(k: int, l: int, certify: bool = True) -> SupportSubspace:
-    """The explicit Vandermonde construction: k - l rows (i^1..i^l | e_i)."""
+def build_support_subspace(k: int, l: int) -> SupportSubspace:
+    """The explicit Vandermonde construction: k - l rows (i^1..i^l | e_i).
+    It is not certified here: a caller that relies on the support property
+    runs `SupportSubspace.certify` once."""
     if not k >= l >= 0:
         raise LinalgError(f"need k >= l >= 0, got k={k}, l={l}")
     rows = []
@@ -250,10 +252,7 @@ def build_support_subspace(k: int, l: int, certify: bool = True) -> SupportSubsp
         head = [i**j for j in range(1, l + 1)]
         tail = [1 if t == i - 1 else 0 for t in range(k - l)]
         rows.append(tuple(head + tail))
-    space = SupportSubspace(k, tuple(rows))
-    if certify:
-        space.certify()
-    return space
+    return SupportSubspace(k, tuple(rows))
 
 
 def find_support_vector(space: SupportSubspace, target: Iterable[int]) -> Vector:
@@ -265,14 +264,12 @@ def find_support_vector(space: SupportSubspace, target: Iterable[int]) -> Vector
         raise LinalgError(f"target must have {space.codim + 1} coordinates, got {len(t)}")
     if t and not 0 <= t[0] <= t[-1] < space.ambient:
         raise LinalgError("target coordinates out of range")
-    outside = [c for c in range(space.ambient) if c not in set(t)]
-    constraint = [[row[c] for row in space.basis] for c in outside]
-    coeffs = nullspace_rows(constraint, space.dim)
-    if len(coeffs) != 1:
+    members = space.vectors_supported_inside(t)
+    if len(members) != 1:
         raise CertificationError(
-            f"expected a one-dimensional solution for target {t}, got {len(coeffs)}"
+            f"expected a one-dimensional solution for target {t}, got {len(members)}"
         )
-    vec = space.member(coeffs[0])
+    vec = members[0]
     if support(vec) != tuple(t):
         raise CertificationError(f"member support {support(vec)} differs from target {t}")
     lead = next(x for x in vec if x)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .counts import DomainError, w_recurrence, wsat_hypercube
+from .counts import DomainError, w_recurrence
 from .grid import (
     GridError,
     GridSpec,
@@ -328,10 +328,14 @@ def brute_force_wsat(
 
 
 def derived_initial_set(spec: GridSpec, edges: Iterable[int], r: int) -> VertexSet:
-    """Vertices whose degree in the subgraph reaches min(r, full degree)."""
+    """Vertices whose degree in the subgraph reaches min(r, full degree).
+    An edge index outside the grid raises GridError, as in `greedy_saturate`."""
+    ne = spec.num_edges
     deg = [0] * spec.num_vertices
     lower, upper = spec.edge_endpoints
     for e in set(edges):
+        if not 0 <= e < ne:
+            raise GridError(f"edge {e} out of range")
         deg[lower[e]] += 1
         deg[upper[e]] += 1
     picked = [
@@ -455,32 +459,24 @@ def _grid_parts(dims: tuple[int, ...], r: int) -> _Parts:
     return base, additions
 
 
-def _parts_to_certificate(spec: GridSpec, parts: _Parts, star_size: int) -> SaturationCertificate:
-    base, adds = parts
-    additions = tuple(StarWitness(e, center, labels) for e, center, labels in adds)
-    return SaturationCertificate(spec, star_size, tuple(sorted(base)), additions)
-
-
 def build_wsat_hypercube(d: int, r: int) -> SaturationCertificate:
-    """Certificate with exactly wsat_hypercube(d, r) base edges."""
+    """The grid certificate of Q_d = (2,) * d, with exactly
+    wsat_hypercube(d, r) base edges."""
     if not d >= r >= 0:
         raise DomainError(f"need d >= r >= 0, got d={d}, r={r}")
-    spec = GridSpec.hypercube(d)
-    cert = _parts_to_certificate(spec, _cube_parts(d, r), r + 1)
-    assert cert.num_base_edges == wsat_hypercube(d, r)
-    return cert
+    return build_wsat_grid((2,) * d, r)
 
 
 def build_wsat_grid(dims, r: int) -> SaturationCertificate:
-    """Certificate with exactly w_recurrence(dims, r) base edges."""
+    """Certificate with exactly w_recurrence(dims, r) base edges; no axes is
+    the one-vertex grid."""
     dims = tuple(int(a) for a in dims)
-    if not dims:
-        raise DomainError("grid needs at least one axis")
     if any(a < 2 for a in dims):
         raise DomainError(f"all sides must be >= 2, got {dims}")
     if not 0 <= r <= 2 * len(dims):
         raise DomainError(f"need 0 <= r <= 2d, got r={r}")
-    spec = GridSpec(dims)
-    cert = _parts_to_certificate(spec, _grid_parts(dims, r), r + 1)
+    base, adds = _grid_parts(dims, r)
+    additions = tuple(StarWitness(e, center, labels) for e, center, labels in adds)
+    cert = SaturationCertificate(GridSpec(dims), r + 1, tuple(sorted(base)), additions)
     assert cert.num_base_edges == w_recurrence(dims, r)
     return cert

@@ -146,7 +146,7 @@ def test_criterion_7_support_subspace_certification():
     t0 = time.time()
     for k in range(1, 13):
         for l in range(0, min(k, 6) + 1):
-            space = build_support_subspace(k, l, certify=False)
+            space = build_support_subspace(k, l)
             checks = space.certify()
             from math import comb
 

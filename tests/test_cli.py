@@ -565,8 +565,26 @@ def _r_above_labels(doc):
     doc["r"] = 7  # Q3 has 6 labels
 
 
+def _label_mode_direction(doc):
+    doc["label_mode"] = "direction"  # a retired convention, even on a hypercube
+
+
+def _label_mode_x(doc):
+    doc["label_mode"] = "x"
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_zero_denominator, _null_entry, _short_vector, _short_basis_row, _r_zero, _r_above_labels]
+    "corrupt",
+    [
+        _zero_denominator,
+        _null_entry,
+        _short_vector,
+        _short_basis_row,
+        _r_zero,
+        _r_above_labels,
+        _label_mode_direction,
+        _label_mode_x,
+    ],
 )
 def test_recheck_rejects_malformed_certificate(tmp_path, capsys, corrupt):
     out = tmp_path / "rank.json"

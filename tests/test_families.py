@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from percforge.counts import w_recurrence, wsat_hypercube
+from percforge.counts import DomainError, w_recurrence, wsat_hypercube
 from percforge.families import (
     EdgeVectorFamily,
     FamilyError,
@@ -16,7 +16,12 @@ from percforge.families import (
     verify_star_relations,
 )
 
-from percforge.linalg import build_support_subspace, rank_profile_of_rows, support
+from percforge.linalg import (
+    SupportSubspace,
+    build_support_subspace,
+    rank_profile_of_rows,
+    support,
+)
 
 
 def dense(family):
@@ -31,9 +36,14 @@ def dense(family):
     return [tuple(vec.get(j, Fraction(0)) for j in range(w)) for vec in family.vectors]
 
 
+def cube(d, r):
+    """The grid-label family of Q_d, the only rank family there is."""
+    return build_edge_vectors_grid((2,) * d, r)
+
+
 def test_diagonal_case_is_standard_basis():
     for r in range(1, 4):
-        fam = build_edge_vectors_hypercube(r, r)
+        fam = cube(r, r)
         ne = fam.spec.num_edges
         assert fam.target_dim == ne == r * (1 << (r - 1))
         for k, vec in enumerate(dense(fam)):
@@ -41,45 +51,42 @@ def test_diagonal_case_is_standard_basis():
 
 
 def test_cube_family_3_2():
-    fam = build_edge_vectors_hypercube(3, 2)
+    fam = cube(3, 2)
     assert fam.target_dim == 5
     assert family_rank(fam)[0] == 5
     assert verify_star_relations(fam) > 0
 
 
 def test_cube_family_5_3():
-    fam = build_edge_vectors_hypercube(5, 3)
+    fam = cube(5, 3)
     assert fam.target_dim == wsat_hypercube(5, 3) == 23
     rank, pivots = family_rank(fam)
     assert rank == 23 and len(pivots) == 23
     # every 4-leaf star relation vanishes with all-nonzero coefficients
     checked = verify_star_relations(fam)
-    assert checked == 32 * 5  # C(5,4) subsets at each of 32 vertices
+    assert checked == 32 * 5  # C(5,4) subsets of the 5 odd labels at each of 32 vertices
 
 
 def test_zero_star_family():
-    fam = build_edge_vectors_hypercube(4, 0)
+    fam = cube(4, 0)
     assert fam.target_dim == 0
     assert all(vec == {} for vec in fam.vectors)
     assert all(vec == () for vec in dense(fam))
 
 
 def test_grid_matches_cube_on_all_twos():
-    # same edge enumeration and span dimension; the grid route reduces to
-    # the hypercube recursion through the odd-label compression, so the two
-    # families check the same star relations under label 2i-1 <-> direction i
-    for d, r in [(2, 1), (3, 2), (4, 3), (4, 2)]:
-        cube = build_edge_vectors_hypercube(d, r)
-        grid = build_edge_vectors_grid((2,) * d, r)
-        assert grid.target_dim == cube.target_dim
-        assert family_rank(grid)[0] == family_rank(cube)[0]
-        for v in grid.spec.vertices():
-            odd = grid.incident_coords(v)
-            assert odd == tuple(2 * i for i in range(d))
-            assert [grid.edge_at(v, c) for c in odd] == [
-                cube.edge_at(v, i) for i in range(d)
-            ]
-        assert verify_star_relations(grid) == verify_star_relations(cube)
+    # build_edge_vectors_hypercube is the grid builder on (2,) * d behind
+    # its own domain check; every hypercube edge is odd, so each vertex
+    # sees the d odd label coordinates
+    for d, r in [(0, 0), (1, 1), (2, 1), (3, 2), (4, 3), (4, 2)]:
+        fam = build_edge_vectors_hypercube(d, r)
+        assert fam.target_dim == wsat_hypercube(d, r)
+        assert dense(fam) == dense(cube(d, r))
+        assert fam.subspace == cube(d, r).subspace
+        for v in fam.spec.vertices():
+            assert fam.incident_coords(v) == tuple(2 * i for i in range(d))
+    with pytest.raises(DomainError):
+        build_edge_vectors_hypercube(2, 3)
 
 
 def test_grid_family_values():
@@ -96,7 +103,7 @@ def test_rank_operation_examples():
     identity = [[int(i == j) for j in range(7)] for i in range(7)]
     assert rank_profile_of_rows(identity, 7)[0] == 7
     assert rank_profile_of_rows([[0, 0, 0]], 3)[0] == 0
-    fam = build_edge_vectors_hypercube(5, 3)
+    fam = cube(5, 3)
     assert family_rank(fam)[0] == wsat_hypercube(5, 3)
 
 
@@ -129,10 +136,10 @@ def test_assemble_matches_counts_on_small_sweep():
 
 
 def test_verify_family_catches_corruption():
-    fam = build_edge_vectors_hypercube(3, 2)
+    fam = cube(3, 2)
     bad_vectors = list(fam.vectors)
     bad_vectors[0] = {j: x + 1 for j, x in enumerate(dense(fam)[0]) if x + 1}
-    bad = EdgeVectorFamily(fam.spec, fam.r, fam.label_mode, fam.target_dim, tuple(bad_vectors), fam.subspace)
+    bad = EdgeVectorFamily(fam.spec, fam.r, fam.target_dim, tuple(bad_vectors), fam.subspace)
     with pytest.raises(FamilyError):
         verify_family(bad)
 
@@ -192,12 +199,10 @@ def test_support_solves_are_memoized_within_one_build(monkeypatch, dims, r):
         return real(space, target)
 
     monkeypatch.setattr(families, "find_support_vector", counting)
-    build = build_edge_vectors_hypercube if set(dims) == {2} else build_edge_vectors_grid
-    args = (len(dims), r) if set(dims) == {2} else (dims, r)
-    first = dense(build(*args))
+    first = dense(build_edge_vectors_grid(dims, r))
     n_first = len(calls)
     assert n_first > 0 and len(set(calls)) == n_first
-    second = dense(build(*args))
+    second = dense(build_edge_vectors_grid(dims, r))
     assert len(calls) == 2 * n_first
     assert second == first
 
@@ -232,10 +237,30 @@ def test_one_relation_pass_per_certificate(monkeypatch):
     assert calls == [(3, 2)]
 
 
+@pytest.mark.parametrize("dims, r", [((3, 4), 2), ((2, 2, 2, 2), 2)])
+def test_one_certification_per_certificate(monkeypatch, dims, r):
+    # the root subspace is certified once per build and once per recheck;
+    # the subspaces derived from it during the recursion are not
+    real = SupportSubspace.certify
+    calls = []
+
+    def counting(space):
+        calls.append((space.ambient, space.codim))
+        return real(space)
+
+    monkeypatch.setattr(SupportSubspace, "certify", counting)
+    cert = assemble_lower_bound(dims, r)
+    assert calls == [(2 * len(dims), r)]
+    calls.clear()
+    recheck_rank_certificate(rank_certificate_from_json_doc(cert.to_json_doc()))
+    assert calls == [(2 * len(dims), r)]
+
+
 def test_recheck_rejects_wrong_codimension():
     dims, r = (3, 2), 2
     doc = assemble_lower_bound(dims, r).to_json_doc()
-    wrong = build_support_subspace(2 * len(dims), r + 1)  # certified, codimension r+1
+    wrong = build_support_subspace(2 * len(dims), r + 1)  # codimension r+1
+    wrong.certify()
     doc["subspace_basis"] = [[str(x) for x in row] for row in wrong.basis]
     with pytest.raises(FamilyError, match="codimension"):
         recheck_rank_certificate(rank_certificate_from_json_doc(doc))

@@ -4,7 +4,7 @@ import pytest
 
 from percforge.bootstrap import percolates
 from percforge.counts import w_recurrence, wsat_hypercube
-from percforge.grid import GridSpec
+from percforge.grid import GridError, GridSpec
 from percforge.saturation import (
     CertCheck,
     ExplicitGraph,
@@ -310,6 +310,18 @@ def test_derived_initial_set_extremes():
     # with r above every degree, the requirement is the full degree
     full = derived_initial_set(spec, range(spec.num_edges), 99)
     assert full.is_full
+
+
+def test_derived_initial_set_rejects_edges_outside_the_grid():
+    # the same GridError greedy_saturate raises for the same base; a
+    # negative index must not wrap around to the last edge
+    spec = GridSpec((3,))
+    for bad in ([-1], [2], [0, 5]):
+        with pytest.raises(GridError, match="out of range"):
+            derived_initial_set(spec, bad, 1)
+        with pytest.raises(GridError, match="out of range"):
+            greedy_saturate(spec, bad, 2)
+    assert derived_initial_set(spec, [1], 1).indices() == [1, 2]
 
 
 def test_derived_set_of_minimum_construction_does_not_percolate():
