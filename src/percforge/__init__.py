@@ -29,10 +29,8 @@ from .counts import (
 )
 from .saturation import (
     CertCheck,
-    ExplicitGraph,
     SaturationCertificate,
     SaturationFailure,
-    StarWitness,
     WsatOracleResult,
     brute_force_wsat,
     build_wsat_grid,
@@ -102,10 +100,8 @@ __all__ = [
     "wsat_grid_closed",
     "wsat_hypercube",
     "CertCheck",
-    "ExplicitGraph",
     "SaturationCertificate",
     "SaturationFailure",
-    "StarWitness",
     "WsatOracleResult",
     "brute_force_wsat",
     "build_wsat_grid",

@@ -17,9 +17,9 @@ from .counts import (
     wsat_grid_closed,
     wsat_hypercube,
 )
-from .families import assemble_lower_bound
+from .families import FamilyError, assemble_lower_bound
 from .grid import GridSpec
-from .linalg import CertificationError, build_support_subspace
+from .linalg import CertificationError, LinalgError, build_support_subspace
 from .saturation import (
     SaturationCertificate,
     brute_force_wsat,
@@ -100,7 +100,14 @@ def run_audit(deep: bool = False) -> dict:
             ok = ok and verify_certificate(cert).ok
     row("construction-exactness", "grids with <=64 vertices, all r", True, ok)
 
-    # 4. rank certificates
+    # 4. rank certificates: a certificate that cannot be built is a failed row
+    def rank_row(check: str, instance: str, expected, dims: tuple[int, ...], r: int, field: str):
+        try:
+            got = getattr(assemble_lower_bound(dims, r), field)
+        except (FamilyError, LinalgError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        row(check, instance, expected, got)
+
     for dims, r in [
         ((2, 2, 2, 2), 3),
         ((2, 2, 2, 2, 2), 4),
@@ -108,9 +115,9 @@ def run_audit(deep: bool = False) -> dict:
         ((3, 3, 2), 3),
         ((2, 2, 2), 2),
     ]:
-        cert = assemble_lower_bound(dims, r)
-        row("rank-certificate", f"{'x'.join(map(str, dims))} r={r}", w_recurrence(dims, r), cert.rank)
-    row("rank-bound-q5", "Q5 r=4 implies m >= 13", 13, assemble_lower_bound((2,) * 5, 4).m_lower)
+        instance = f"{'x'.join(map(str, dims))} r={r}"
+        rank_row("rank-certificate", instance, w_recurrence(dims, r), dims, r, "rank")
+    rank_row("rank-bound-q5", "Q5 r=4 implies m >= 13", 13, (2,) * 5, 4, "m_lower")
 
     # 5. two-sided threshold-3 reproduction
     for d in range(3, 13):

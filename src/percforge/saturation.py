@@ -37,13 +37,9 @@ from .grid import (
 )
 
 
-@dataclass(frozen=True)
-class StarWitness:
-    """One edge addition: the labels name the other present star edges."""
-
-    edge: int
-    center: int
-    labels: tuple[int, ...]
+# One edge addition: (edge, center, labels), the labels naming the other
+# present star edges at the center.
+Addition = tuple[int, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class SaturationCertificate:
     spec: GridSpec
     star_size: int
     base_edges: tuple[int, ...]
-    additions: tuple[StarWitness, ...]
+    additions: tuple[Addition, ...]
 
     @property
     def num_base_edges(self) -> int:
@@ -64,8 +60,8 @@ class SaturationCertificate:
             "star_size": self.star_size,
             "base_edges": list(self.base_edges),
             "additions": [
-                {"edge": a.edge, "center": a.center, "labels": list(a.labels)}
-                for a in self.additions
+                {"edge": edge, "center": center, "labels": list(labels)}
+                for edge, center, labels in self.additions
             ],
         }
 
@@ -86,9 +82,7 @@ class SaturationCertificate:
             except KeyError as exc:
                 raise ValueError(f"missing field {exc.args[0]!r}") from None
             labels = tuple(_json_int(x, "label") for x in _json_list(labels, "labels"))
-            additions.append(
-                StarWitness(_json_int(edge, "edge"), _json_int(center, "center"), labels)
-            )
+            additions.append((_json_int(edge, "edge"), _json_int(center, "center"), labels))
         base_edges = _json_list(_json_field(doc, "base_edges"), "base_edges")
         base = tuple(_json_int(e, "base edge") for e in base_edges)
         star_size = _json_int(_json_field(doc, "star_size"), "star_size")
@@ -114,40 +108,8 @@ class CertCheck:
 
 
 @dataclass(frozen=True)
-class ExplicitGraph:
-    """Tiny edge-list graph, only used by the brute-force oracle."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        norm = []
-        for u, v in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        object.__setattr__(self, "edges", tuple(norm))
-
-    @classmethod
-    def from_grid(cls, spec: GridSpec) -> "ExplicitGraph":
-        return cls(spec.num_vertices, tuple(zip(*spec.edge_endpoints)))
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-
-@dataclass(frozen=True)
 class WsatOracleResult:
-    graph: ExplicitGraph
+    spec: GridSpec
     star_size: int
     min_edges: int
     witness: tuple[int, ...]
@@ -158,12 +120,25 @@ class WsatOracleResult:
 
 
 def verify_certificate(cert: SaturationCertificate) -> CertCheck:
-    """Replay a certificate, checking coverage and every star witness.
+    """Replay a certificate once, checking each of its claims once.
 
-    A vertex lies on an edge exactly when it is one of the edge's two
-    endpoints, so comparing the center with both entries of the endpoint
-    table is the incidence test.  It also keeps every later lookup inside
-    the grid: no out-of-range center, negative or not, equals an endpoint.
+    The claim is that E(G) is the base edges followed by the additions in
+    order, each addition completing a star with s leaves when it arrives.
+    One pass in that order proves it:
+    - every edge is listed once: an edge already present is rejected,
+      whether it comes as a base edge or as an addition;
+    - each addition's center is on its edge.  A vertex lies on an edge
+      exactly when it is one of the edge's two endpoints, so comparing the
+      center with both entries of the endpoint table is the incidence test.
+      It also keeps every later lookup inside the grid: no out-of-range
+      center, negative or not, equals an endpoint;
+    - its s-1 witness labels are distinct, exist at the center and name
+      edges already present.  A label names one edge at a vertex, and the
+      added edge is not yet present, so these are s distinct edges at the
+      center: the addition completes an s-star;
+    - base plus additions cover E(G).
+    Presence only grows, so a witness present when it is checked stays
+    present, and no claim needs a second look.
     """
     spec = cert.spec
     ne = spec.num_edges
@@ -180,17 +155,16 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
         if present[e]:
             return CertCheck(False, None, f"duplicate base edge {e}")
         present[e] = 1
-    for i, add in enumerate(cert.additions):
-        if not 0 <= add.edge < ne:
-            return CertCheck(False, i, f"edge {add.edge} out of range")
-        if present[add.edge]:
-            return CertCheck(False, i, f"edge {add.edge} already present")
-        center = add.center
-        if center != lower[add.edge] and center != upper[add.edge]:
-            return CertCheck(False, i, f"center {center} not on edge {add.edge}")
-        if len(add.labels) != s - 1 or len(set(add.labels)) != len(add.labels):
+    for i, (edge, center, labels) in enumerate(cert.additions):
+        if not 0 <= edge < ne:
+            return CertCheck(False, i, f"edge {edge} out of range")
+        if present[edge]:
+            return CertCheck(False, i, f"edge {edge} already present")
+        if center != lower[edge] and center != upper[edge]:
+            return CertCheck(False, i, f"center {center} not on edge {edge}")
+        if len(labels) != s - 1 or len(set(labels)) != len(labels):
             return CertCheck(False, i, f"witness needs {s - 1} distinct labels")
-        for j in add.labels:
+        for j in labels:
             if not 1 <= j <= width:
                 return CertCheck(False, i, f"label {j} out of range")
             other = label_edge(center, j)
@@ -198,7 +172,7 @@ def verify_certificate(cert: SaturationCertificate) -> CertCheck:
                 return CertCheck(False, i, f"label {j} does not exist at {center}")
             if not present[other]:
                 return CertCheck(False, i, f"witness edge with label {j} not yet present")
-        present[add.edge] = 1
+        present[edge] = 1
     if present.count(1) != ne:
         return CertCheck(False, None, "base plus additions do not cover the edge set")
     return CertCheck(True)
@@ -239,7 +213,7 @@ def greedy_saturate(
         deg[lower[e]] += 1
         deg[upper[e]] += 1
     need = star_size - 1
-    additions: list[StarWitness] = []
+    additions: list[Addition] = []
     while True:
         chosen = None
         for e in scan:
@@ -254,7 +228,7 @@ def greedy_saturate(
             break
         e, center = chosen
         labels = _first_present_labels(spec, present, center, need)
-        additions.append(StarWitness(e, center, labels))
+        additions.append((e, center, labels))
         present |= 1 << e
         deg[lower[e]] += 1
         deg[upper[e]] += 1
@@ -264,27 +238,25 @@ def greedy_saturate(
     return SaturationFailure(spec, star_size, frontier)
 
 
-def _greedy_decides(graph: ExplicitGraph, present_edges: int, star_size: int) -> bool:
-    """Decision form of the greedy closure on an explicit graph."""
-    edges = graph.edges
-    ne = len(edges)
-    deg = [0] * graph.num_vertices
-    present = present_edges
-    for e in range(ne):
+def _greedy_decides(spec: GridSpec, present: int, star_size: int) -> bool:
+    """Decision form of the greedy closure from the edge mask `present`."""
+    lower, upper = spec.edge_endpoints
+    deg = [0] * spec.num_vertices
+    missing = []
+    for e in range(spec.num_edges):
         if (present >> e) & 1:
-            u, v = edges[e]
-            deg[u] += 1
-            deg[v] += 1
+            deg[lower[e]] += 1
+            deg[upper[e]] += 1
+        else:
+            missing.append(e)
     need = star_size - 1
-    missing = [e for e in range(ne) if not (present >> e) & 1]
     progress = True
     while missing and progress:
         progress = False
         still = []
         for e in missing:
-            u, v = edges[e]
+            u, v = lower[e], upper[e]
             if deg[u] >= need or deg[v] >= need:
-                present |= 1 << e
                 deg[u] += 1
                 deg[v] += 1
                 progress = True
@@ -294,25 +266,20 @@ def _greedy_decides(graph: ExplicitGraph, present_edges: int, star_size: int) ->
     return not missing
 
 
-def brute_force_wsat(
-    graph: Union[ExplicitGraph, GridSpec], star_size: int, limit: int = 24
-) -> WsatOracleResult:
+def brute_force_wsat(spec: GridSpec, star_size: int, limit: int = 24) -> WsatOracleResult:
     """Exact minimum weakly saturated edge count by exhaustive search over
     edge subsets in increasing size, deciding each with the greedy closure.
 
     Edges whose both endpoints have degree < star_size can never complete a
     star and are therefore forced into every candidate subgraph.
     """
-    if isinstance(graph, GridSpec):
-        graph = ExplicitGraph.from_grid(graph)
-    ne = len(graph.edges)
+    ne = spec.num_edges
     if ne > limit:
         raise ValueError(f"oracle limited to {limit} edges, graph has {ne}")
-    deg = graph.degrees()
-    forced = [
-        e for e, (u, v) in enumerate(graph.edges) if deg[u] < star_size and deg[v] < star_size
-    ]
-    free = [e for e in range(ne) if e not in set(forced)]
+    lower, upper = spec.edge_endpoints
+    deg = [len(spec.incident_labels(v)) for v in spec.vertices()]
+    forced = [e for e in range(ne) if deg[lower[e]] < star_size and deg[upper[e]] < star_size]
+    free = sorted(set(range(ne)).difference(forced))
     forced_mask = 0
     for e in forced:
         forced_mask |= 1 << e
@@ -321,9 +288,9 @@ def brute_force_wsat(
             mask = forced_mask
             for e in subset:
                 mask |= 1 << e
-            if _greedy_decides(graph, mask, star_size):
+            if _greedy_decides(spec, mask, star_size):
                 witness = tuple(sorted(forced + list(subset)))
-                return WsatOracleResult(graph, star_size, len(witness), witness)
+                return WsatOracleResult(spec, star_size, len(witness), witness)
     raise AssertionError("the full edge set is always weakly saturated")
 
 
@@ -347,12 +314,12 @@ def derived_initial_set(spec: GridSpec, edges: Iterable[int], r: int) -> VertexS
 # ---------------------------------------------------------------------------
 # minimum constructions
 #
-# Internal representation during recursion: the local grid's global edge
-# indices, for the base and for each (edge, center, labels) addition; a
-# parent maps a part's edges through `slab_edge_indices` and its centers
-# through `slab_indices`.
+# The recursion works in the local grid's global edge indices, for the base
+# and for each (edge, center, labels) addition; a parent maps a part's edges
+# through `slab_edge_indices` and its centers through `slab_indices`.  The
+# root's additions are the certificate's as they are.
 
-_Parts = tuple[list[int], list[tuple[int, int, tuple[int, ...]]]]
+_Parts = tuple[list[int], list[Addition]]
 
 
 def _all_edge_parts(spec: GridSpec) -> _Parts:
@@ -476,7 +443,6 @@ def build_wsat_grid(dims, r: int) -> SaturationCertificate:
     if not 0 <= r <= 2 * len(dims):
         raise DomainError(f"need 0 <= r <= 2d, got r={r}")
     base, adds = _grid_parts(dims, r)
-    additions = tuple(StarWitness(e, center, labels) for e, center, labels in adds)
-    cert = SaturationCertificate(GridSpec(dims), r + 1, tuple(sorted(base)), additions)
+    cert = SaturationCertificate(GridSpec(dims), r + 1, tuple(sorted(base)), tuple(adds))
     assert cert.num_base_edges == w_recurrence(dims, r)
     return cert

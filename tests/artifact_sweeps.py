@@ -47,7 +47,6 @@ from percforge.families import assemble_lower_bound  # noqa: E402
 from percforge.grid import GridSpec  # noqa: E402
 from percforge.saturation import (  # noqa: E402
     SaturationCertificate,
-    StarWitness,
     build_wsat_grid,
     build_wsat_hypercube,
     verify_certificate,
@@ -121,15 +120,14 @@ def replay_forms(cert):
     if not adds:
         yield from (None, None)
         return
-    first = adds[0]
-    u, w = _edge_endpoints(spec.dims)[first.edge]
+    edge, first_center, labels = adds[0]
+    u, w = _edge_endpoints(spec.dims)[edge]
     off = next((v for v in spec.vertices() if v not in (u, w)), None)
-    for center in (u + w - first.center, off):
+    for center in (u + w - first_center, off):
         if center is None:
             yield None
         else:
-            moved = StarWitness(first.edge, center, first.labels)
-            yield SaturationCertificate(spec, s, base, (moved,) + adds[1:])
+            yield SaturationCertificate(spec, s, base, ((edge, center, labels),) + adds[1:])
 
 
 def replay() -> None:

@@ -12,11 +12,14 @@ from pathlib import Path
 import percforge
 from percforge.cli import main
 
+from test_wrap_points import _wrap_points
+
 WITNESS = Path(__file__).parent / "fixtures" / "witness_q5_r3.json"
 
 SCRIPT = """
 import contextlib, io, json, sys
 from percforge.cli import main
+imported = sorted(m for m in sys.modules if m.startswith("percforge."))
 
 def run(*argv):
     out = io.StringIO()
@@ -37,7 +40,7 @@ search = run("search", "--grid", "Q3", "--r", "2")
 import percforge
 missing = [name for name in percforge.__all__ if not hasattr(percforge, name)]
 print(json.dumps({
-    "codes": codes, "before": before, "search_imported": search_imported,
+    "imported": imported, "codes": codes, "before": before, "search_imported": search_imported,
     "search": search, "after": len(numpy_modules()),
     "exact_min": percforge.exact_min.__module__, "missing": missing,
 }))
@@ -53,6 +56,9 @@ def test_commands_without_a_search_do_not_load_numpy(capsys):
         capture_output=True, text=True, env=env, check=True,
     )
     got = json.loads(proc.stdout)
+    # the tracer wraps only modules that are imported when it installs
+    wrapped = {f"percforge.{mod_name}" for mod_name, *_ in _wrap_points()}
+    assert wrapped <= set(got["imported"])
     assert got["codes"] == [0, 0, 0]
     assert got["before"] == []
     assert got["search_imported"]

@@ -7,10 +7,8 @@ from percforge.counts import w_recurrence, wsat_hypercube
 from percforge.grid import GridError, GridSpec
 from percforge.saturation import (
     CertCheck,
-    ExplicitGraph,
     SaturationCertificate,
     SaturationFailure,
-    StarWitness,
     brute_force_wsat,
     build_wsat_grid,
     build_wsat_hypercube,
@@ -37,7 +35,7 @@ def test_build_hypercube_3_2():
     assert len(c.additions) == 7
     assert verify_certificate(c).ok
     # every witness names exactly r = 2 present edges at its center
-    assert all(len(a.labels) == 2 for a in c.additions)
+    assert all(len(labels) == 2 for _, _, labels in c.additions)
 
 
 def test_build_hypercube_sizes_and_verify():
@@ -121,38 +119,32 @@ def test_verify_rejects_tampering():
     dup = SaturationCertificate(c.spec, c.star_size, c.base_edges + (c.base_edges[0],), c.additions)
     assert not verify_certificate(dup).ok
     # witness label pointing at a missing edge
-    first = c.additions[0]
+    edge, center, labels = c.additions[0]
     bad = SaturationCertificate(
-        c.spec,
-        c.star_size,
-        c.base_edges,
-        (StarWitness(first.edge, first.center, first.labels[:-1] + (99,)),) + c.additions[1:],
+        c.spec, c.star_size, c.base_edges, ((edge, center, labels[:-1] + (99,)),) + c.additions[1:]
     )
     assert not verify_certificate(bad).ok
 
 
 def _replace_first(c, **changes):
-    first = c.additions[0]
-    fields = {"edge": first.edge, "center": first.center, "labels": first.labels}
-    fields.update(changes)
-    return SaturationCertificate(
-        c.spec, c.star_size, c.base_edges, (StarWitness(**fields),) + c.additions[1:]
-    )
+    edge, center, labels = c.additions[0]
+    first = (changes.get("edge", edge), changes.get("center", center), changes.get("labels", labels))
+    return SaturationCertificate(c.spec, c.star_size, c.base_edges, (first,) + c.additions[1:])
 
 
 def _off_edge_center(c):
-    u, v = c.spec.endpoints(c.additions[0].edge)
+    u, v = c.spec.endpoints(c.additions[0][0])
     return min(w for w in c.spec.vertices() if w not in (u, v))
 
 
 def _lower_end(c):
-    return c.spec.endpoints(c.additions[0].edge)[0]
+    return c.spec.endpoints(c.additions[0][0])[0]
 
 
 def _own_label(c):
     # the odd/even rule: label 2i - 1 when the lower endpoint's axis-i
     # coordinate is odd, else 2i
-    u, w = c.spec.endpoints(c.additions[0].edge)
+    u, w = c.spec.endpoints(c.additions[0][0])
     axis = c.spec.strides.index(w - u) + 1
     return 2 * axis - 1 if c.spec.coord(u, axis) % 2 == 1 else 2 * axis
 
@@ -174,30 +166,30 @@ _REPLAY_REJECTIONS = {
     ),
     "center not on edge": lambda c: (
         _replace_first(c, center=_off_edge_center(c)), 0,
-        f"center {_off_edge_center(c)} not on edge {c.additions[0].edge}",
+        f"center {_off_edge_center(c)} not on edge {c.additions[0][0]}",
     ),
     "center below the grid": lambda c: (
-        _replace_first(c, center=-1), 0, f"center -1 not on edge {c.additions[0].edge}",
+        _replace_first(c, center=-1), 0, f"center -1 not on edge {c.additions[0][0]}",
     ),
     "center wrapping onto the edge": lambda c: (
         _replace_first(c, center=_lower_end(c) - 8), 0,
-        f"center {_lower_end(c) - 8} not on edge {c.additions[0].edge}",
+        f"center {_lower_end(c) - 8} not on edge {c.additions[0][0]}",
     ),
     "center above the grid": lambda c: (
-        _replace_first(c, center=8), 0, f"center 8 not on edge {c.additions[0].edge}",
+        _replace_first(c, center=8), 0, f"center 8 not on edge {c.additions[0][0]}",
     ),
     "wrong label count": lambda c: (
-        _replace_first(c, labels=c.additions[0].labels[:1]), 0, "witness needs 2 distinct labels",
+        _replace_first(c, labels=c.additions[0][2][:1]), 0, "witness needs 2 distinct labels",
     ),
     "label out of range": lambda c: (
-        _replace_first(c, labels=(7,) + c.additions[0].labels[1:]), 0, "label 7 out of range",
+        _replace_first(c, labels=(7,) + c.additions[0][2][1:]), 0, "label 7 out of range",
     ),
     "label absent at center": lambda c: (
-        _replace_first(c, labels=(2,) + c.additions[0].labels[1:]), 0,
-        f"label 2 does not exist at {c.additions[0].center}",
+        _replace_first(c, labels=(2,) + c.additions[0][2][1:]), 0,
+        f"label 2 does not exist at {c.additions[0][1]}",
     ),
     "witness edge not yet present": lambda c: (
-        _replace_first(c, labels=(_own_label(c),) + c.additions[0].labels[1:]), 0,
+        _replace_first(c, labels=(_own_label(c),) + c.additions[0][2][1:]), 0,
         f"witness edge with label {_own_label(c)} not yet present",
     ),
     "coverage": lambda c: (
@@ -222,7 +214,7 @@ def test_verify_accepts_center_on_upper_endpoint():
     # path 1-2-3, base {2,3}, then {1,2} added as a 2-star at vertex 2,
     # whose other edge {2,3} carries label 2
     spec = GridSpec((3,))
-    cert = SaturationCertificate(spec, 2, (1,), (StarWitness(0, 1, (2,)),))
+    cert = SaturationCertificate(spec, 2, (1,), ((0, 1, (2,)),))
     assert spec.endpoints(0) == (0, 1)
     assert verify_certificate(cert) == CertCheck(True)
 
@@ -292,15 +284,6 @@ def test_brute_force_witness_is_saturated():
 def test_brute_force_limit():
     with pytest.raises(ValueError):
         brute_force_wsat(GridSpec.hypercube(4), 3)
-
-
-def test_explicit_graph_validation():
-    with pytest.raises(ValueError):
-        ExplicitGraph(3, ((0, 0),))
-    with pytest.raises(ValueError):
-        ExplicitGraph(3, ((0, 1), (1, 0)))
-    g = ExplicitGraph.from_grid(GridSpec.hypercube(2))
-    assert g.num_vertices == 4 and len(g.edges) == 4
 
 
 def test_derived_initial_set_extremes():
