@@ -13,17 +13,17 @@ Families are built by the same recursions as the saturated graphs, in
 one coordinate convention: subspace coordinate j - 1 is grid label j.
 
 * grid: peel the highest axis of length >= 3.  The shortened copy reuses
-  the subspace unchanged; the dropped-axis copy gets the projection after
-  eliminating the label that cannot occur on the boundary; cross edges
-  into the low-degree set Y get fresh basis vectors, other cross edges get
-  the killing combination for a member supported inside the boundary
-  vertex's label set.
+  the subspace unchanged; the dropped-axis copy gets the members that
+  vanish on the label that cannot occur on the boundary, read without the
+  peeled axis's two labels; cross edges into the low-degree set Y get
+  fresh basis vectors, other cross edges get the killing combination for
+  a member supported inside the boundary vertex's label set.
 * hypercube (all sides 2): every edge is odd, so the subspace is first
-  compressed onto the d odd labels.  Then split off the last axis; the
-  bottom copy keeps the subspace with the last coordinate eliminated
-  against a pivot member z, the top copy keeps its plain projection.  Cross
+  compressed to the members that vanish on the d even labels.  Then split
+  off the last axis; the bottom copy gets the members that vanish on the
+  last label, the top copy every member, both read without it.  Cross
   edges get the unique combination that kills the z-relation at their
-  bottom endpoint.
+  bottom endpoint, z the member on the last label and the r least others.
 
 Only the root subspace is certified, once per build and once per recheck.
 The subspaces derived from it only steer the construction, so they are
@@ -57,7 +57,6 @@ from typing import Iterable, Sequence
 from .counts import DomainError, w_recurrence, wsat_hypercube
 from .grid import GridSpec, _json_field, _json_int, _json_list, _peel_axis, parse_grid
 from .linalg import (
-    F1,
     CertificationError,
     SupportSubspace,
     Vector,
@@ -77,6 +76,7 @@ class FamilyError(ValueError):
 # entry.  Families share one dict between edges whose vectors are equal
 # (a copied sub-grid reuses its source's vectors), so none is ever mutated.
 EdgeVector = dict[int, Fraction]
+F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -264,9 +264,12 @@ class _SupportSolver:
 # derived subspaces
 
 
-def _derived(rows, keep: Sequence[int], expect_dim: int) -> SupportSubspace:
-    """The span of `rows` read on the coordinates `keep`, reduced and checked
-    to have dimension `expect_dim`; not certified (module docstring)."""
+def _derived(
+    space: SupportSubspace, inside: Iterable[int], keep: Sequence[int], expect_dim: int
+) -> SupportSubspace:
+    """The members of `space` supported inside `inside`, read on `keep`,
+    reduced and checked to have dimension `expect_dim`; not certified."""
+    rows = space.vectors_supported_inside(inside)
     reduced = reduce_rows([[row[c] for c in keep] for row in rows], len(keep))
     derived = SupportSubspace(len(keep), tuple(reduced))
     if derived.dim != expect_dim:
@@ -274,26 +277,6 @@ def _derived(rows, keep: Sequence[int], expect_dim: int) -> SupportSubspace:
             f"derived space has dimension {derived.dim}, expected {expect_dim}"
         )
     return derived
-
-
-def _eliminate_and_drop(
-    space: SupportSubspace,
-    kill_coord: int,
-    drop_coords: tuple[int, ...],
-    expect_dim: int,
-    solver: _SupportSolver,
-) -> SupportSubspace:
-    """Project out `kill_coord` against a member z with z[kill_coord] != 0,
-    then delete `drop_coords`."""
-    target = _lex_first_superset(range(space.ambient), kill_coord, space.codim + 1)
-    z = solver.vector(space, target)
-    zc = z[kill_coord]
-    rows = []
-    for b in space.basis:
-        coeff = Fraction(b[kill_coord]) / zc
-        rows.append([Fraction(x) - coeff * zx for x, zx in zip(b, z)])
-    kept = [c for c in range(space.ambient) if c not in drop_coords]
-    return _derived(rows, kept, expect_dim)
 
 
 def _lex_first_superset(universe, required: int, size: int) -> tuple[int, ...]:
@@ -328,8 +311,8 @@ def _cube_family(
         return _units(ne)
 
     sub = GridSpec.hypercube(d - 1)
-    x0 = _eliminate_and_drop(space, d - 1, (d - 1,), d - 1 - r, solver)
-    x1 = _derived(space.basis, range(d - 1), d - r)
+    x0 = _derived(space, range(d - 1), range(d - 1), d - 1 - r)
+    x1 = _derived(space, range(d), range(d - 1), d - r)
     f0 = _cube_family(sub, r, x0, solver)
     f1 = _cube_family(sub, r - 1, x1, solver)
     w0 = wsat_hypercube(d - 1, r)
@@ -377,7 +360,7 @@ def _grid_family(
         return _units(ne), ne
     if spec.is_hypercube:
         odd = tuple(2 * i for i in range(d))  # 0-based slots of labels 1,3,5,...
-        compressed = _derived(space.vectors_supported_inside(odd), odd, d - r)
+        compressed = _derived(space, odd, odd, d - r)
         return _cube_family(spec, r, compressed, solver), wsat_hypercube(d, r)
 
     p, bottom_dims, side_dims = _peel_axis(dims)
@@ -402,7 +385,10 @@ def _grid_family(
         its cross edge.  Built on first use."""
         if tau0 not in layers:
             taubar0 = 4 * p - 3 - tau0  # the other coordinate of axis p
-            x2 = _eliminate_and_drop(space, taubar0, (2 * p - 2, 2 * p - 1), 2 * d - r - 1, solver)
+            slots = range(2 * d)
+            inside = [c for c in slots if c != taubar0]
+            keep = [c for c in slots if c not in (2 * p - 2, 2 * p - 1)]
+            x2 = _derived(space, inside, keep, 2 * d - r - 1)
             side_vecs, w2 = _grid_family(side, r - 1, x2, solver)
             plan = [
                 None

@@ -23,6 +23,7 @@ enumerations, so every serialized artifact is byte-stable across runs.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -356,16 +357,22 @@ def _json_field(doc: dict, key: str):
         raise ValueError(f"missing field {key!r}") from None
 
 
+# what str(int) writes; int() would also read "+1", " 1", "1_0" or "\u0661"
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _json_int(value, what: str) -> int:
-    """An integer written as a JSON number or a decimal string."""
+    """An integer written as a JSON number or as exactly `-?[0-9]+`."""
     if type(value) is int:  # not bool
         return value
     if not isinstance(value, str):
         raise ValueError(f"{what} must be an integer")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if _DECIMAL.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"{what} must be an integer, got {value[:40]!r}")
 
 
 def _json_list(value, what: str) -> list:

@@ -1,7 +1,8 @@
 """Exact rational linear algebra for rank certificates.
 
-Everything is integer-or-Fraction arithmetic.  Elimination keeps its rows
-as sparse coprime integer vectors (gcd 1) after every update, so
+Everything is integer arithmetic but `find_support_vector`, whose member is
+divided by its first nonzero entry into Fractions.  Elimination keeps its
+(integer or Fraction) rows as sparse coprime integer vectors (gcd 1), so
 intermediate values stay small, and every row it hands out is primitive
 (gcd 1, first nonzero positive), so artifacts are byte-stable.
 
@@ -24,9 +25,6 @@ from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 class LinalgError(ValueError):
@@ -165,12 +163,14 @@ def nullspace_rows(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list
     free = [c for c in range(ncols) if c not in pivot_of]
     basis = []
     for f in free:
-        x = [F0] * ncols
-        x[f] = F1
+        x = [0] * ncols
+        x[f] = 1
         for col in sorted(pivot_of, reverse=True):
             r = pivot_of[col]
-            s = sum((Fraction(v) * x[c] for c, v in r.items() if c != col), start=F0)
-            x[col] = -s / r[col]
+            s = sum(v * x[c] for c, v in r.items() if c != col)
+            if s:  # x[col] = -s / pivot, kept integral by scaling x by the pivot
+                x = [xc * r[col] for xc in x]
+                x[col] = -s
         basis.append(primitive_int_row(x))
     return basis
 
@@ -216,25 +216,24 @@ class SupportSubspace:
                 )
         return total
 
-    def member(self, coeffs: Sequence[Fraction | int]) -> Vector:
+    def member(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         if len(coeffs) != self.dim:
             raise LinalgError("coefficient count must match the basis size")
-        out = [F0] * self.ambient
+        out = [0] * self.ambient
         for c, row in zip(coeffs, self.basis):
             if c:
-                fc = Fraction(c)
                 for j, x in enumerate(row):
                     if x:
-                        out[j] += fc * x
+                        out[j] += c * x
         return tuple(out)
 
-    def vectors_supported_inside(self, allowed: Iterable[int]) -> list[Vector]:
+    def vectors_supported_inside(self, allowed: Iterable[int]) -> list[tuple[int, ...]]:
         """Basis of the members whose support lies inside `allowed`
-        (full-ambient vectors)."""
+        (full-ambient integer rows)."""
         allowed = set(allowed)
         outside = [c for c in range(self.ambient) if c not in allowed]
         if not outside:
-            return [tuple(Fraction(x) for x in r) for r in self.basis]
+            return list(self.basis)
         # coefficient vectors c with (c . basis) vanishing on `outside`
         constraint = [[row[c] for row in self.basis] for c in outside]
         coeffs = nullspace_rows(constraint, self.dim)
@@ -273,4 +272,4 @@ def find_support_vector(space: SupportSubspace, target: Iterable[int]) -> Vector
     if support(vec) != tuple(t):
         raise CertificationError(f"member support {support(vec)} differs from target {t}")
     lead = next(x for x in vec if x)
-    return tuple(x / lead for x in vec)
+    return tuple(Fraction(x, lead) for x in vec)

@@ -26,6 +26,11 @@ center moved to the other endpoint of its edge; and with that center moved
 to the least vertex off the edge.  A form the certificate cannot take (no
 base edge, no addition, no vertex off the edge) enters the digest as None.
 
+Every digest is compared with the one recorded in EXPECTED, the value the
+current artifacts give.  The script exits 1 after the last sweep it runs,
+naming every sweep whose digests differ from the recorded one.  A change
+that alters an artifact on purpose updates EXPECTED and says why.
+
 The file is not collected by pytest (its name does not start with test_).
 """
 
@@ -87,11 +92,18 @@ def search_docs():
             yield exact_min(SearchConfig(GridSpec(dims), r)).to_json_doc()
 
 
+EXPECTED = {
+    "rank": "4f3fd2ae388ee28c55fde0ec4ed2ddf7cac5dd1cf121d51ce8e8143f057343f2",
+    "wsat": "5b7f802b77de327fad18582449f5f1538c1abc93a14a74d6d517abf863ee6d1d",
+    "search": "2f788d18e45085a46b130b8574047a9c1671fb3dda8cc7bbf20a2e327aaf628f",
+    "replay": "482cc11598f6e12d3729009f478aa0035ad89868890418af7578c164608c0f65",
+}
+
 DOC_SWEEPS = {"rank": rank_docs, "wsat": wsat_docs, "search": search_docs}
 SWEEPS = [*DOC_SWEEPS, "replay"]
 
 
-def sweep(name: str) -> None:
+def sweep(name: str) -> list[str]:
     plain, written = hashlib.sha256(), hashlib.sha256()
     count = 0
     t0 = time.perf_counter()
@@ -106,6 +118,7 @@ def sweep(name: str) -> None:
     print(f"{name}: {count} documents in {seconds:.1f} s")
     print(f"  json.dumps(doc, indent=2)  {plain.hexdigest()}")
     print(f"  cli._json_text(doc)        {written.hexdigest()}")
+    return [plain.hexdigest(), written.hexdigest()]
 
 
 # certificates come grouped by grid, so one cached grid is enough
@@ -130,7 +143,7 @@ def replay_forms(cert):
             yield SaturationCertificate(spec, s, base, ((edge, center, labels),) + adds[1:])
 
 
-def replay() -> None:
+def replay() -> list[str]:
     digest = hashlib.sha256()
     count = replays = 0
     t0 = time.perf_counter()
@@ -146,6 +159,7 @@ def replay() -> None:
     seconds = time.perf_counter() - t0
     print(f"replay: {count} documents, {replays} replays in {seconds:.1f} s")
     print(f"  (ok, index, reason)        {digest.hexdigest()}")
+    return [digest.hexdigest()]
 
 
 if __name__ == "__main__":
@@ -153,5 +167,11 @@ if __name__ == "__main__":
     unknown = [n for n in names if n not in SWEEPS]
     if unknown:
         raise SystemExit(f"unknown sweep {unknown[0]!r}; choose from {', '.join(SWEEPS)}")
+    differ = []
     for name in names:
-        replay() if name == "replay" else sweep(name)
+        digests = replay() if name == "replay" else sweep(name)
+        if any(h != EXPECTED[name] for h in digests):
+            print(f"  differs from the recorded {EXPECTED[name]}")
+            differ.append(name)
+    if differ:
+        raise SystemExit(f"digests differ from the recorded ones: {', '.join(differ)}")

@@ -168,6 +168,37 @@ def naive_primitive_int_row(row) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def naive_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {x : M x = 0} from the reduced row echelon form of M in
+    Fractions: for each non-pivot column f in order, the x with x_f = 1, 0 on
+    the other non-pivot columns and -rref[i][f] on the i-th pivot column,
+    as its primitive integer multiple."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -m[i][f]
+        out.append(naive_primitive_int_row(x))
+    return out
+
+
 def dims_up_to(limit, measure) -> list[tuple[int, ...]]:
     """Non-decreasing side tuples with measure(dims) <= limit."""
     out: list[tuple[int, ...]] = []

@@ -110,6 +110,25 @@ def _edge_not_an_integer(doc):
     doc["additions"][0]["edge"] = 1.5
 
 
+# spellings of a non-negative integer that int() reads but the writer never
+# writes (the last one int() reads as ten times the value)
+_SPELLINGS = {
+    "space_before": lambda s: " " + s,
+    "space_after": lambda s: s + " ",
+    "plus_sign": lambda s: "+" + s,
+    "arabic_indic": lambda s: "".join(chr(0x0660 + int(ch)) for ch in s),
+    "underscore": lambda s: s + "_0",
+}
+
+
+def _respelled_edge(how):
+    def corrupt(doc):
+        addition = doc["additions"][0]
+        addition["edge"] = _SPELLINGS[how](str(addition["edge"]))
+
+    return pytest.param(corrupt, id=f"edge_{how}")
+
+
 def _star_size_null(doc):
     doc["star_size"] = None
 
@@ -121,7 +140,8 @@ def _star_size_zero(doc):
 @pytest.mark.parametrize(
     "corrupt",
     [_labels_not_a_list, _top_level_list, _base_edges_not_a_list, _additions_not_a_list,
-     _addition_not_an_object, _edge_not_an_integer, _star_size_null, _star_size_zero],
+     _addition_not_an_object, _edge_not_an_integer, _star_size_null, _star_size_zero,
+     *map(_respelled_edge, _SPELLINGS)],
 )
 def test_wsat_verify_rejects_malformed_certificate(tmp_path, capsys, corrupt):
     out = tmp_path / "cert.json"
@@ -200,6 +220,8 @@ def _witness_doc(**fields):
         ("check", _witness_doc(provenance=7), "malformed witness: provenance must be a string"),
         ("check", _witness_doc(provenance=[]), "malformed witness: provenance must be a string"),
         ("check", _witness_doc(provenance={}), "malformed witness: provenance must be a string"),
+        ("check", _witness_doc(vertices=[0, "+7"]),
+         "malformed witness: vertex must be an integer, got '+7'"),
     ],
 )
 def test_loaders_name_the_malformed_field(tmp_path, capsys, command, doc, reason):
@@ -573,6 +595,14 @@ def _label_mode_x(doc):
     doc["label_mode"] = "x"
 
 
+def _respelled_basis_entry(how):
+    def corrupt(doc):
+        row = doc["subspace_basis"][0]
+        row[0] = _SPELLINGS[how](row[0])
+
+    return pytest.param(corrupt, id=f"basis_entry_{how}")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -584,6 +614,7 @@ def _label_mode_x(doc):
         _r_above_labels,
         _label_mode_direction,
         _label_mode_x,
+        *map(_respelled_basis_entry, _SPELLINGS),
     ],
 )
 def test_recheck_rejects_malformed_certificate(tmp_path, capsys, corrupt):

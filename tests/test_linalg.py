@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from naive import naive_primitive_int_row
+from naive import naive_nullspace, naive_primitive_int_row
 
 from percforge.linalg import (
     CertificationError,
@@ -108,6 +108,25 @@ def test_nullspace():
     for v in basis:
         assert sum(v) == 0
     assert nullspace_rows([[1, 0], [0, 1]], 2) == []
+    # random small matrices, with dependent rows and zero columns mixed in,
+    # against a Fraction RREF back-substitution
+    rng = random.Random(105)
+    for _ in range(300):
+        n, m = rng.randrange(1, 6), rng.randrange(1, 8)
+        rows = [[rng.randrange(-5, 6) for _ in range(m)] for _ in range(n)]
+        for _ in range(rng.randrange(3)):  # a combination of two rows
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            rows.insert(rng.randrange(len(rows) + 1), [s * x + t * y for x, y in zip(a, b)])
+        for c in range(m):
+            if rng.random() < 0.2:  # a zero column
+                for row in rows:
+                    row[c] = 0
+        basis = nullspace_rows(rows, m)
+        assert basis == naive_nullspace(rows, m), (rows, basis)
+        for x in basis:
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+        assert len(basis) == m - brute_rank(rows, m)
 
 
 def test_vandermonde_shape_and_example():
@@ -177,6 +196,36 @@ def test_vectors_supported_inside():
     assert len(sub) == 1
     assert set(support(sub[0])) <= {0, 1, 2}
     assert space.vectors_supported_inside([0, 1]) == []
+    # the members vanishing at a coordinate are the projection against a
+    # member z that does not: checked at the root and one level down
+    for k in range(2, 9):
+        for l in range(1, k):
+            for sub in _restrictions_are_projections(build_support_subspace(k, l)):
+                if sub.dim:
+                    _restrictions_are_projections(sub)
+
+
+def _restrictions_are_projections(space):
+    """For every coordinate c, check that the members of `space` vanishing at
+    c span the rows b - (b_c / z_c) z over the basis rows b, where z is the
+    member supported on the lex-first (codim + 1)-set that contains c, and
+    return those members read without c, one subspace per c."""
+    k, l = space.ambient, space.codim
+
+    def rank(rows):
+        return rank_profile_of_rows(rows, k)[0]
+
+    out = []
+    for c in range(k):
+        rest = [j for j in range(k) if j != c]
+        vanishing = space.vectors_supported_inside(rest)
+        assert all(x[c] == 0 for x in vanishing)
+        z = find_support_vector(space, sorted([c] + rest[:l]))
+        projected = [[x - Fraction(b[c]) / z[c] * zx for x, zx in zip(b, z)] for b in space.basis]
+        assert rank(vanishing) == rank(projected) == rank(vanishing + projected) == space.dim - 1
+        read = [[x[j] for j in rest] for x in vanishing]
+        out.append(SupportSubspace(k - 1, tuple(reduce_rows(read, k - 1))))
+    return out
 
 
 def test_support_certification_sweep_small():
